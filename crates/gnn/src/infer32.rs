@@ -339,19 +339,15 @@ pub fn predict_nodes_f32(
     // but memoized *canonicalized* (so downstream levels consume exactly
     // what a warm hit would have returned).
     let mut fresh: HashMap<Key, Vec<f32>> = HashMap::new();
-    // Chunked fan-out with an inline fast path: one chunk (small warm
-    // micro-batches) skips the rayon dispatch entirely. Chunks are
-    // independent, so serial and parallel evaluation are bit-identical.
+    // Chunked fan-out, as in `infer`: chunks are independent, so serial
+    // and parallel evaluation are bit-identical, and a single chunk (small
+    // warm micro-batches) runs inline on the caller inside rayon.
     fn eval_chunked<T: Copy + Sync, F: Fn(&[T]) -> Vec<Vec<f32>> + Sync>(
         items: &[T],
         f: F,
     ) -> Vec<Vec<Vec<f32>>> {
-        if items.len() <= EVAL_CHUNK {
-            vec![f(items)]
-        } else {
-            let chunks: Vec<&[T]> = items.chunks(EVAL_CHUNK).collect();
-            chunks.par_iter().map(|chunk| f(chunk)).collect()
-        }
+        let chunks: Vec<&[T]> = items.chunks(EVAL_CHUNK).collect();
+        chunks.par_iter().map(|chunk| f(chunk)).collect()
     }
     if !levels[0].is_empty() {
         let rows = eval_chunked(&levels[0], |chunk| {
@@ -402,10 +398,8 @@ pub fn predict_nodes_f32(
 
     // --- Head: per-seed MLP over the top-level embedding, widening to f64
     // only for the final sigmoid / label rescale (matching the f64 head's
-    // output transform exactly in structure). A single chunk (the common
-    // warm serving micro-batch) runs inline: the rayon dispatch would cost
-    // more than the head itself, and per-chunk results are independent so
-    // the serial and parallel orders produce identical bits.
+    // output transform exactly in structure). Per-chunk results are
+    // independent, so the serial and parallel orders produce identical bits.
     let head_chunk = |chunk: &[usize]| -> Vec<f64> {
         let mut buf_in: Vec<f32> = Vec::new();
         let mut buf_out: Vec<f32> = Vec::new();
@@ -435,12 +429,8 @@ pub fn predict_nodes_f32(
             })
             .collect()
     };
-    let preds: Vec<Vec<f64>> = if nodes.len() <= EVAL_CHUNK {
-        vec![head_chunk(nodes)]
-    } else {
-        let chunks: Vec<&[usize]> = nodes.chunks(EVAL_CHUNK).collect();
-        chunks.par_iter().map(|chunk| head_chunk(chunk)).collect()
-    };
+    let chunks: Vec<&[usize]> = nodes.chunks(EVAL_CHUNK).collect();
+    let preds: Vec<Vec<f64>> = chunks.par_iter().map(|chunk| head_chunk(chunk)).collect();
 
     if let Some(t0) = t0 {
         obs::add("gnn.infer32.seeds", nodes.len() as u64);

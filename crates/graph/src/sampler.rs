@@ -35,6 +35,20 @@ pub const DEGREE_WINDOWS_DAYS: [i64; 4] = [7, 30, 90, 0];
 
 const SECONDS_PER_DAY: i64 = 86_400;
 
+/// Fewest seeds one parallel task expands. Measured on the reference host
+/// (EXPERIMENTS.md, "Parallel grain"), two threads against inline over a
+/// whole `sample` call: 0.88x at 64 seeds, 0.83x at 128, 1.00x at 256,
+/// 1.31x at 512, 1.28x at 1024 — the merge is serial, a seed costs only
+/// ~4.5 µs and a region's second thread 60–130 µs to spawn. So a batch
+/// splits from 512 seeds up, and a 64-seed training batch runs inline.
+const SEEDS_PER_TASK: usize = 256;
+
+/// Fewest nodes one parallel task computes windowed degrees for: 0.05–
+/// 0.2 µs per node by node type (a few binary searches). Two threads
+/// measured 0.76–1.34x of inline at 2 700–2 900 nodes, 0.88–1.19x at
+/// 5 300–5 900 and 1.25–1.35x from 10 700, so a type splits from 8 192.
+const DEGREE_NODES_PER_TASK: usize = 4096;
+
 /// One prediction seed: a node and the anchor time of the prediction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Seed {
@@ -161,7 +175,11 @@ impl<'g> TemporalSampler<'g> {
         // Observe-only accounting: workers tally locally (no shared atomics
         // on the per-node path); one counter flush per batch below.
         let t0 = obs::enabled().then(std::time::Instant::now);
-        let locals: Vec<LocalSample> = seeds.par_iter().map(|seed| self.sample_one(seed)).collect();
+        let locals: Vec<LocalSample> = seeds
+            .par_iter()
+            .with_min_len(SEEDS_PER_TASK)
+            .map(|seed| self.sample_one(seed))
+            .collect();
         if let Some(t0) = t0 {
             let lookups: u64 = locals.iter().map(|l| l.csr_lookups).sum();
             let hops = self.config.hops();
@@ -309,7 +327,7 @@ impl<'g> TemporalSampler<'g> {
                     .collect();
                 pairs
                     .par_iter()
-                    .with_min_len(64)
+                    .with_min_len(DEGREE_NODES_PER_TASK)
                     .map(|&(global, anchor)| {
                         let mut degs = vec![0u32; g.num_edge_types() * nw];
                         if !self.config.degree_features {
@@ -629,7 +647,12 @@ mod tests {
     fn thread_count_does_not_change_results() {
         let g = demo();
         let s = TemporalSampler::new(&g, SamplerConfig::new(vec![10, 10]));
-        let seeds: Vec<Seed> = (0..16).map(|i| seed(i % 2, 10 + 7 * i as i64)).collect();
+        // Enough seeds that both fan-outs split: the seeds themselves many
+        // times over, and one seed node each makes two degree tasks for
+        // the seed type alone.
+        let seeds: Vec<Seed> = (0..2 * DEGREE_NODES_PER_TASK)
+            .map(|i| seed(i % 2, 10 + 7 * (i % 16) as i64))
+            .collect();
         let old = std::env::var("RAYON_NUM_THREADS").ok();
         std::env::set_var("RAYON_NUM_THREADS", "1");
         let serial = s.sample(&seeds);

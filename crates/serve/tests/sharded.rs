@@ -620,4 +620,18 @@ fn affinity_pinning_is_invisible_in_response_bits() {
             });
         }
     });
+
+    // A pinned shard keeps its fan-out to itself: rayon asks for the
+    // available parallelism on the calling thread, so a thread confined to
+    // one CPU cuts its regions into one chunk and runs them inline, instead
+    // of starting threads that inherit its mask and share its core. (With
+    // `RAYON_NUM_THREADS` set, the variable wins over the mask.)
+    if std::env::var_os("RAYON_NUM_THREADS").is_none() {
+        let seen = std::thread::spawn(|| {
+            relgraph_serve::affinity::pin_current_thread(0)
+                .is_pinned()
+                .then(rayon::current_num_threads)
+        });
+        assert!(seen.join().unwrap().is_none_or(|threads| threads == 1));
+    }
 }

@@ -440,11 +440,11 @@ mod tests {
 
     #[test]
     fn serial_and_parallel_tiers_are_bit_identical() {
-        // 96×96×96 is above PAR_FLOPS_THRESHOLD (64³): the public entry
+        // 256×192×192 is above PAR_FLOPS_THRESHOLD (192³): the public entry
         // takes the parallel panel walk, the forced-serial path walks the
         // same fixed panels on one thread. They must agree bit for bit —
         // panel boundaries are a function of ROW_BLOCK alone.
-        let (m, kd, n) = (96usize, 96usize, 96usize);
+        let (m, kd, n) = (256usize, 192usize, 192usize);
         assert!(m * kd * n >= PAR_FLOPS_THRESHOLD);
         let a = seq32(m * kd, 0.31);
         let b = seq32(kd * n, 0.47);
@@ -459,12 +459,12 @@ mod tests {
     #[test]
     fn dispatch_boundaries_stay_within_ulp_bound_of_naive() {
         // Straddle both thresholds: just under/over 32³ (naive vs packed
-        // serial) and just under/over 64³ (serial vs parallel). The packed
+        // serial) and just under/over 192³ (serial vs parallel). The packed
         // FMA kernel and the naive two-pass loop accumulate in different
         // orders, so agreement is to a documented bound, not bitwise:
         // per-element |fast − naive| ≤ 2·kd·ε₃₂·Σ|a·b| (each path does at
         // most kd roundings of magnitude ≤ ε₃₂·partial-sum each).
-        for (m, kd, n) in [(31, 32, 32), (32, 32, 32), (63, 64, 64), (64, 64, 65)] {
+        for (m, kd, n) in [(31, 32, 32), (32, 32, 32), (191, 192, 192), (192, 192, 193)] {
             let a = seq32(m * kd, 0.29);
             let b = seq32(kd * n, 0.53);
             let mut fast = vec![0.0f32; m * n];

@@ -43,8 +43,13 @@ pub(crate) fn baseline_matmul() -> bool {
 pub(crate) const NAIVE_FLOPS_THRESHOLD: usize = 32 * 32 * 32;
 
 /// Below this many multiply-adds a matmul runs the microkernel
-/// single-threaded — thread fan-out costs more than the multiplication.
-pub(crate) const PAR_FLOPS_THRESHOLD: usize = 64 * 64 * 64;
+/// single-threaded. Measured on the 2-core reference host (EXPERIMENTS.md,
+/// "Parallel grain"): a region's second thread costs 60 µs to spawn and
+/// join back to back and ~130 µs after a pause, so at 64³ (15 µs inline)
+/// two threads are 5x slower, at 128³ (150 µs) they still lose, at 4M
+/// multiply-adds they win 1.26x back to back and lose 12 % after a pause,
+/// and from 6M (~0.5 ms inline) they win either way, 1.1–1.4x.
+pub(crate) const PAR_FLOPS_THRESHOLD: usize = 192 * 192 * 192;
 
 /// Output rows per parallel task (also the unit of A-row cache reuse).
 /// Panel boundaries are a fixed function of this constant, never of the

@@ -178,3 +178,39 @@ proptest! {
         }
     }
 }
+
+/// Above `PAR_FLOPS_THRESHOLD` (192³ multiply-adds) every matmul variant
+/// fans its row panels out over threads; the bits must not depend on how
+/// many threads take panels. (`tests/parallel_determinism.rs` sweeps the
+/// tiers below it.)
+#[test]
+fn parallel_tier_is_bit_identical_across_thread_counts() {
+    let fill = |rows: usize, cols: usize, mul: f64| {
+        let data = (0..rows * cols)
+            .map(|i| ((i * 31 + i / cols * 7) % 23) as f64 * mul - 1.0)
+            .collect();
+        Tensor::from_vec(rows, cols, data)
+    };
+    let (m, k, n) = (320, 160, 192);
+    let (a, b, bias) = (fill(m, k, 0.09), fill(k, n, 0.07), fill(1, n, 0.05));
+    let (at, bt) = (a.transpose(), b.transpose());
+    let run = |threads: &str| {
+        std::env::set_var("RAYON_NUM_THREADS", threads);
+        [
+            a.matmul(&b),
+            a.matmul_nt(&bt),
+            at.matmul_tn(&b),
+            a.matmul_bias_act(&b, &bias, relgraph_tensor::ActKind::Relu),
+        ]
+        .map(|t| t.data().iter().map(|x| x.to_bits()).collect::<Vec<u64>>())
+    };
+    let old = std::env::var("RAYON_NUM_THREADS").ok();
+    let serial = run("1");
+    for threads in ["2", "4", "7"] {
+        assert!(run(threads) == serial, "differs at {threads} threads");
+    }
+    match old {
+        Some(v) => std::env::set_var("RAYON_NUM_THREADS", v),
+        None => std::env::remove_var("RAYON_NUM_THREADS"),
+    }
+}
