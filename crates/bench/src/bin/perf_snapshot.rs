@@ -24,8 +24,8 @@
 //! parse) and `persistence` (warm restart from snapshots vs a cold
 //! open + featurize + train boot) gate the durable substrate: both wins
 //! are algorithmic, so real multiples are required on any host.
-//! `serving_f32` (tape-free `f32` inference vs the `f64` tape path, caches
-//! held equal) and `cache_capacity` (8-bit quantized embedding rows per
+//! `serving_f32` (the `f32` model view vs the `f64` one through the same
+//! tape-free walk, caches held equal) and `cache_capacity` (8-bit quantized embedding rows per
 //! byte vs `f64` rows) gate the reduced-precision tier.
 //!
 //! Every floor is declared for a specific numeric mode. A section whose
@@ -50,10 +50,12 @@ fn floor_spec(section: &str, shards: usize) -> (f64, &'static str) {
         // real multiple is required even on one core. The committed snapshot
         // shows well above this; 2.0 is the CI noise floor.
         "serving" => (2.0, "f64"),
-        // Tape-free `f32` inference vs the `f64` autograd-tape path with
-        // caches held equal: the win is kernel + allocation work, so a real
-        // multiple is required on any host.
-        "serving_f32" => (1.5, "f32"),
+        // The `f32` model view vs the `f64` one with caches held equal.
+        // Both run the one tape-free walk, so what is left of the old 4.8x
+        // (which was the f64 side's autodiff tape) is kernel width: 1.2x
+        // at quick scale. The floor only says f32 must not be the slower
+        // mode.
+        "serving_f32" => (1.0, "f32"),
         // Quantized embedding rows resident at an equal byte budget: exact
         // arithmetic over captured row shapes, so the floor has no noise
         // allowance at all — `8·dim / (dim + 8)` must reach 4x.

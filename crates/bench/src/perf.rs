@@ -41,7 +41,7 @@ use relgraph_datagen::{generate_ecommerce, EcommerceConfig};
 use relgraph_db2graph::{build_graph, update_graph, ConvertOptions, GraphCursor};
 use relgraph_gnn::batch::{build_batch, input_dims};
 use relgraph_gnn::{
-    predict_nodes_f32, Aggregation, EmbeddingStore32, GnnConfig, HeteroGnn, InferModel32, Precision,
+    predict_nodes_f32, Aggregation, EmbeddingStore, GnnConfig, HeteroGnn, InferModel32, Precision,
 };
 use relgraph_graph::{SamplerConfig, Seed, TemporalSampler};
 use relgraph_nn::{clip_global_norm, loss, Activation, Adam, Binding, Optimizer, ParamSet};
@@ -739,8 +739,9 @@ pub fn run_snapshot(quick: bool) -> Snapshot {
         // run the identical fitted model through the identical engine with
         // the prediction tier effectively disabled (capacity 1), so every
         // request re-runs seed-level inference against a warm embedding
-        // tier; the gap is purely the f32 tape-free kernel path vs the f64
-        // autograd-tape path. Tolerance story: `DESIGN.md` §15.
+        // tier; both modes run the same tape-free walk, so the gap is purely
+        // the f32 prepacked kernel vs the f64 dispatch. Tolerance story:
+        // `DESIGN.md` §15.
         {
             let mk = |precision| {
                 ServeEngine::from_fitted(
@@ -789,7 +790,7 @@ pub fn run_snapshot(quick: bool) -> Snapshot {
         // over the captured shapes, so the ≥4x floor is noise-free.
         {
             struct DimProbe(Vec<usize>);
-            impl EmbeddingStore32 for DimProbe {
+            impl EmbeddingStore<f32> for DimProbe {
                 fn get(&mut self, _ty: usize, _node: usize, _level: usize) -> Option<Vec<f32>> {
                     None
                 }

@@ -1,4 +1,5 @@
-//! Per-node batch inference with cross-seed neighborhood deduplication.
+//! Per-node batch inference with cross-seed neighborhood deduplication —
+//! one walk, written once, for every serving precision.
 //!
 //! [`NodeModel::predict`](crate::NodeModel::predict) extracts one disjoint
 //! subgraph per seed, so two seeds sharing most of their neighborhood pay
@@ -13,10 +14,21 @@
 //! LRU) short-circuits recomputation without ever changing a value, so
 //! cache-warm and cache-cold runs are bit-identical by construction.
 //!
+//! Nothing in that contract depends on the element type, so the walk
+//! ([`infer_nodes`]: discovery, in-batch dedup, chunked fan-out,
+//! memoisation, store offers, head) is generic over an [`InferModel`] —
+//! the small view that says how one dense layer is applied to a row block.
+//! [`NodeModel`] is the `f64` view (trained weights borrowed, multiplied
+//! through the dispatch the autodiff tape calls, with no tape);
+//! [`InferModel32`] is the `f32` view over prepacked narrowed weights.
+//! Lossy stores stay deterministic because every *fresh* embedding is
+//! memoised through [`EmbeddingStore::canonicalize`] (what a warm hit
+//! would return) while the store is offered the raw value.
+//!
 //! Per-node evaluation agrees with the per-seed batched path up to kernel
 //! dispatch: both accumulate in the same per-element order, but tensor
 //! *shapes* differ (single-row matmuls here vs stacked batches there), and
-//! the matmul kernel is chosen by shape — so predictions match
+//! the matmul kernel is chosen by shape — so `f64` predictions match
 //! `NodeModel::predict` to ≤ 1e-9, not necessarily to the bit. For
 //! non-uniform fanout schedules the per-node rule evaluates a node with the
 //! fanout of its *level*, whereas a sampled subgraph reuses the edge list
@@ -24,21 +36,54 @@
 //! uniform fanouts the two coincide.
 
 use std::collections::{HashMap, HashSet};
+use std::ops::{AddAssign, MulAssign};
 
 use rayon::prelude::*;
 use relgraph_graph::sampler::DEGREE_WINDOWS_DAYS;
 use relgraph_graph::{HeteroGraph, NodeTypeId, SamplerConfig, ALWAYS_VISIBLE};
-use relgraph_nn::{Activation, Binding};
+use relgraph_nn::Linear;
 use relgraph_obs as obs;
-use relgraph_tensor::{Graph, Tensor};
+use relgraph_tensor::{apply_act_f32, ActKind, Tensor};
 
-use crate::sage::{Aggregation, SageLayer};
+use crate::model::HeteroGnn;
+use crate::precision::InferModel32;
+use crate::sage::Aggregation;
 use crate::train::{NodeModel, TaskKind};
 
 const SECONDS_PER_DAY: i64 = 86_400;
 
-/// Seeds per tape arena in the parallel evaluation fan-out.
+/// Nodes per chunk in the parallel evaluation fan-out. Chunks are
+/// independent and merge in worklist order, so thread count never changes
+/// a value.
 const EVAL_CHUNK: usize = 64;
+
+/// The scalar the walk computes in: `f64` or `f32`.
+pub trait Element:
+    Copy + Default + PartialOrd + Into<f64> + Send + Sync + AddAssign + MulAssign
+{
+    /// Narrow (or keep) an `f64` — level-0 feature rows, the mean's `1/c`.
+    fn from_f64(x: f64) -> Self;
+    /// Apply an activation to one value.
+    fn act(kind: ActKind, x: Self) -> Self;
+}
+
+impl Element for f64 {
+    fn from_f64(x: f64) -> Self {
+        x
+    }
+    fn act(kind: ActKind, x: Self) -> Self {
+        kind.apply(x)
+    }
+}
+
+impl Element for f32 {
+    fn from_f64(x: f64) -> Self {
+        x as f32
+    }
+    fn act(kind: ActKind, x: Self) -> Self {
+        apply_act_f32(kind, x)
+    }
+}
 
 /// An external cache of per-node embeddings keyed `(node type, node,
 /// level)`. All entries are implicitly relative to one anchor time — the
@@ -48,31 +93,108 @@ const EVAL_CHUNK: usize = 64;
 /// `Send` is part of the contract: stores are owned by per-shard serving
 /// worker threads, so an implementation must be movable across threads
 /// (it is never *shared* — each shard owns its slice exclusively).
-pub trait EmbeddingStore: Send {
+pub trait EmbeddingStore<E = f64>: Send {
     /// Cached embedding, if present (may update recency bookkeeping).
-    fn get(&mut self, ty: usize, node: usize, level: usize) -> Option<Vec<f64>>;
+    fn get(&mut self, ty: usize, node: usize, level: usize) -> Option<Vec<E>>;
     /// Offer a freshly computed embedding to the cache.
-    fn put(&mut self, ty: usize, node: usize, level: usize, emb: Vec<f64>);
+    fn put(&mut self, ty: usize, node: usize, level: usize, emb: Vec<E>);
+    /// Project a fresh embedding onto exactly what a warm [`Self::get`]
+    /// would return after [`Self::put`] of this value (ignoring eviction).
+    /// Lossless stores return the input unchanged (the default); a lossy
+    /// (quantizing) store round-trips it through its codec, which is what
+    /// keeps warm and cold runs bit-identical under lossy storage.
+    fn canonicalize(&self, emb: Vec<E>) -> Vec<E> {
+        emb
+    }
 }
 
 /// A store that caches nothing: every batch recomputes its full (deduped)
-/// recursion. Useful as the cold-path reference in equivalence tests.
+/// recursion. The cold-path reference in equivalence tests, in any
+/// precision.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct NoCache;
 
-impl EmbeddingStore for NoCache {
-    fn get(&mut self, _ty: usize, _node: usize, _level: usize) -> Option<Vec<f64>> {
+impl<E> EmbeddingStore<E> for NoCache {
+    fn get(&mut self, _ty: usize, _node: usize, _level: usize) -> Option<Vec<E>> {
         None
     }
-    fn put(&mut self, _ty: usize, _node: usize, _level: usize, _emb: Vec<f64>) {}
+    fn put(&mut self, _ty: usize, _node: usize, _level: usize, _emb: Vec<E>) {}
+}
+
+/// The precision-independent half of a fitted model: its architecture and
+/// the walk parameters. Every view of one model shares it.
+pub struct ModelSpec<'a> {
+    /// Layer stack and head (dense layers are handles, not weights).
+    pub gnn: &'a HeteroGnn,
+    /// Sampler configuration the model was trained under.
+    pub sampler_cfg: &'a SamplerConfig,
+    /// The prediction task (selects the output transform).
+    pub task: TaskKind,
+    /// Regression label de-standardization `(mean, std)`.
+    pub label_scale: (f64, f64),
+}
+
+/// A fitted model as the walk sees it in one precision: the shared
+/// [`ModelSpec`] plus how one dense layer is applied to a block of rows.
+/// Everything else — discovery, dedup, aggregation, the head loop,
+/// determinism — is [`infer_nodes`] and is shared.
+pub trait InferModel: Sync {
+    /// The scalar this view computes in.
+    type Elem: Element;
+    /// Architecture and walk parameters.
+    fn spec(&self) -> ModelSpec<'_>;
+    /// `out = act(x · W + b)` for the `rows` input rows in `x`. Both
+    /// buffers are scratch the caller reuses: `x` holds its contents on
+    /// return, `out` is overwritten.
+    fn linear(
+        &self,
+        lin: &Linear,
+        x: &mut Vec<Self::Elem>,
+        rows: usize,
+        act: ActKind,
+        out: &mut Vec<Self::Elem>,
+    );
+}
+
+/// The `f64` view: trained weights borrowed straight from the parameter
+/// set and multiplied through the tensor crate's fused dispatch — the
+/// kernel call the autodiff tape's `linear_act` makes, minus the tape.
+impl InferModel for NodeModel {
+    type Elem = f64;
+
+    fn spec(&self) -> ModelSpec<'_> {
+        ModelSpec {
+            gnn: self.gnn(),
+            sampler_cfg: self.sampler_cfg(),
+            task: self.task(),
+            label_scale: self.label_scale(),
+        }
+    }
+
+    fn linear(
+        &self,
+        lin: &Linear,
+        x: &mut Vec<f64>,
+        rows: usize,
+        act: ActKind,
+        out: &mut Vec<f64>,
+    ) {
+        // The buffers move through `Tensor` and back: no copy either way.
+        let a = Tensor::from_vec(rows, lin.in_dim(), std::mem::take(x));
+        let mut o = Tensor::from_buffer(rows, lin.out_dim(), std::mem::take(out));
+        a.matmul_bias_act_into(lin.weight(self.ps()), lin.bias(self.ps()), act, &mut o);
+        *x = a.into_data();
+        *out = o.into_data();
+    }
 }
 
 type Key = (usize, usize, usize);
 
-/// Predict for `nodes` (all of `node_type`, all anchored at `anchor`),
-/// deduplicating shared neighborhoods across the batch and reusing any
-/// embeddings `store` already holds. Returns predictions in input order on
-/// the same scale as [`NodeModel::predict`].
+/// Predict for `nodes` (all of `node_type`, all anchored at `anchor`) in
+/// `f64`, deduplicating shared neighborhoods across the batch and reusing
+/// any embeddings `store` already holds. Returns predictions in input
+/// order on the same scale as [`NodeModel::predict`]. The `f64`
+/// instantiation of [`infer_nodes`].
 ///
 /// # Panics
 /// Panics if `node_type` differs from the type the model was trained on,
@@ -85,149 +207,210 @@ pub fn predict_nodes(
     anchor: i64,
     store: &mut dyn EmbeddingStore,
 ) -> Vec<f64> {
+    infer_nodes(model, graph, node_type, nodes, anchor, store)
+}
+
+/// [`predict_nodes`] in `f32` over a down-converted model: the `f32`
+/// instantiation of [`infer_nodes`]. Predictions are widened to `f64` only
+/// at the head's final sigmoid / label rescale.
+pub fn predict_nodes_f32(
+    model: &InferModel32,
+    graph: &HeteroGraph,
+    node_type: NodeTypeId,
+    nodes: &[usize],
+    anchor: i64,
+    store: &mut dyn EmbeddingStore<f32>,
+) -> Vec<f64> {
+    infer_nodes(model, graph, node_type, nodes, anchor, store)
+}
+
+/// The kept neighbors of one node along one edge type.
+struct ChildList {
+    /// Edge type index.
+    et: usize,
+    /// Node type the edge type points at.
+    dst: usize,
+    /// Kept neighbor nodes, ascending time.
+    nbrs: Vec<usize>,
+}
+
+/// Discovery state of one batch: which `(type, node, level)` embeddings
+/// must be computed, which the store already covered.
+struct Discovery<'s, E> {
+    /// Worklist per level, in first-request order.
+    levels: Vec<Vec<(usize, usize)>>,
+    needed: HashSet<Key>,
+    memo: HashMap<Key, Vec<E>>,
+    store: &'s mut dyn EmbeddingStore<E>,
+    store_hits: u64,
+}
+
+impl<E> Discovery<'_, E> {
+    /// Register `(ty, node, level)` as needed unless it is already
+    /// memoized, queued, or available from the store.
+    fn request(&mut self, ty: usize, node: usize, level: usize) {
+        let key = (ty, node, level);
+        if self.memo.contains_key(&key) || self.needed.contains(&key) {
+            return;
+        }
+        if let Some(emb) = self.store.get(ty, node, level) {
+            self.store_hits += 1;
+            self.memo.insert(key, emb);
+            return;
+        }
+        self.needed.insert(key);
+        self.levels[level].push((ty, node));
+    }
+}
+
+/// Map `f` over `items` in [`EVAL_CHUNK`]-sized chunks across threads,
+/// results flattened back in input order. Chunks are independent, so
+/// serial and parallel evaluation are bit-identical, and a single chunk
+/// (small warm micro-batches) runs inline on the caller.
+fn eval_chunked<T: Sync, R: Send>(items: &[T], f: impl Fn(&[T]) -> Vec<R> + Sync) -> Vec<R> {
+    let chunks: Vec<&[T]> = items.chunks(EVAL_CHUNK).collect();
+    let out: Vec<Vec<R>> = chunks.par_iter().map(|chunk| f(chunk)).collect();
+    out.into_iter().flatten().collect()
+}
+
+/// The per-node walk, generic over the model view: predict for `nodes`
+/// (all of `node_type`, all anchored at `anchor`), deduplicating shared
+/// neighborhoods across the batch and reusing any embeddings `store`
+/// already holds. Predictions come back in input order as `f64` whatever
+/// the element type. Reports `gnn.infer.{seeds,evals,store_hits}` and the
+/// `gnn.infer` span in every precision.
+///
+/// # Panics
+/// Panics if `node_type` differs from the type the model was trained on,
+/// or if a node index is out of range for the graph.
+pub fn infer_nodes<M: InferModel>(
+    model: &M,
+    graph: &HeteroGraph,
+    node_type: NodeTypeId,
+    nodes: &[usize],
+    anchor: i64,
+    store: &mut dyn EmbeddingStore<M::Elem>,
+) -> Vec<f64> {
+    let spec = model.spec();
     assert_eq!(
         node_type.0,
-        model.gnn().seed_type(),
+        spec.gnn.seed_type(),
         "seed node type differs from the model's training entity type"
     );
     let t0 = obs::enabled().then(std::time::Instant::now);
-    let k = model.gnn().num_layers();
-    let cfg = model.sampler_cfg();
+    let k = spec.gnn.num_layers();
+    let cfg = spec.sampler_cfg;
 
     // --- Discovery (top-down): collect the set of (type, node, level)
     // embeddings the batch needs, deduplicating across seeds and pruning
     // every subtree the store already covers.
-    let mut levels: Vec<Vec<(usize, usize)>> = vec![Vec::new(); k + 1];
-    let mut needed: HashSet<Key> = HashSet::new();
-    let mut memo: HashMap<Key, Vec<f64>> = HashMap::new();
-    let mut clists: HashMap<Key, Vec<(usize, Vec<usize>)>> = HashMap::new();
-    let mut store_hits = 0u64;
+    let mut walk = Discovery {
+        levels: vec![Vec::new(); k + 1],
+        needed: HashSet::new(),
+        memo: HashMap::new(),
+        store,
+        store_hits: 0,
+    };
+    let mut clists: HashMap<Key, Vec<ChildList>> = HashMap::new();
     for &v in nodes {
-        request(
-            node_type.0,
-            v,
-            k,
-            &mut levels,
-            &mut needed,
-            &mut memo,
-            store,
-            &mut store_hits,
-        );
+        walk.request(node_type.0, v, k);
     }
     for level in (1..=k).rev() {
-        let items = std::mem::take(&mut levels[level]);
+        let items = std::mem::take(&mut walk.levels[level]);
         let fanout = cfg.fanouts[k - level];
         for &(ty, node) in &items {
             let lists = child_lists(graph, cfg, ty, node, fanout, anchor);
-            request(
-                ty,
-                node,
-                level - 1,
-                &mut levels,
-                &mut needed,
-                &mut memo,
-                store,
-                &mut store_hits,
-            );
-            for (et, nbrs) in &lists {
-                let dst = graph.edge_type(relgraph_graph::EdgeTypeId(*et)).dst.0;
-                for &nbr in nbrs {
-                    request(
-                        dst,
-                        nbr,
-                        level - 1,
-                        &mut levels,
-                        &mut needed,
-                        &mut memo,
-                        store,
-                        &mut store_hits,
-                    );
+            walk.request(ty, node, level - 1);
+            for list in &lists {
+                for &nbr in &list.nbrs {
+                    walk.request(list.dst, nbr, level - 1);
                 }
             }
             clists.insert((ty, node, level), lists);
         }
-        levels[level] = items;
+        walk.levels[level] = items;
     }
+    let Discovery {
+        levels,
+        needed,
+        mut memo,
+        store,
+        store_hits,
+    } = walk;
 
     // --- Evaluation (bottom-up): each level's nodes are independent given
-    // the level below, so they fan out across threads in fixed-size chunks,
-    // one reusable tape arena per chunk. Results merge in worklist order.
-    if !levels[0].is_empty() {
-        let chunks: Vec<&[(usize, usize)]> = levels[0].chunks(EVAL_CHUNK).collect();
-        let rows: Vec<Vec<Vec<f64>>> = chunks
-            .par_iter()
-            .map(|chunk| {
-                chunk
-                    .iter()
-                    .map(|&(ty, node)| feature_row(graph, cfg, ty, node, anchor))
-                    .collect()
-            })
-            .collect();
-        for (&(ty, node), row) in levels[0].iter().zip(rows.into_iter().flatten()) {
-            memo.insert((ty, node, 0), row);
-        }
-    }
-    for (level, level_nodes) in levels.iter().enumerate().skip(1) {
-        if level_nodes.is_empty() {
-            continue;
-        }
-        let layer = &model.gnn().layers()[level - 1];
-        let chunks: Vec<&[(usize, usize)]> = level_nodes.chunks(EVAL_CHUNK).collect();
-        let embs: Vec<Vec<Vec<f64>>> = chunks
-            .par_iter()
-            .map(|chunk| {
-                let mut g = Graph::new();
-                let mut b = Binding::new();
+    // the level below, so they fan out across threads in fixed-size chunks
+    // and merge in worklist order. Fresh values are memoized
+    // *canonicalized* (downstream levels consume exactly what a warm hit
+    // would have returned) and kept raw for the store.
+    let mut fresh: Vec<Vec<Vec<M::Elem>>> = Vec::with_capacity(k + 1);
+    for (level, level_nodes) in levels.iter().enumerate() {
+        let embs = if level == 0 {
+            eval_chunked(level_nodes, |chunk| {
                 chunk
                     .iter()
                     .map(|&(ty, node)| {
-                        g.reset();
-                        b.reset();
-                        eval_node(
-                            &mut g, &mut b, model, graph, layer, &memo, &clists, ty, node, level,
-                        )
+                        feature_row(graph, cfg, ty, node, anchor)
+                            .into_iter()
+                            .map(M::Elem::from_f64)
+                            .collect()
                     })
                     .collect()
             })
-            .collect();
-        for (&(ty, node), emb) in level_nodes.iter().zip(embs.into_iter().flatten()) {
-            memo.insert((ty, node, level), emb);
+        } else {
+            eval_chunked(level_nodes, |chunk| {
+                chunk
+                    .iter()
+                    .map(|&(ty, node)| {
+                        eval_node(model, &memo, &clists[&(ty, node, level)], ty, node, level)
+                    })
+                    .collect()
+            })
+        };
+        for (&(ty, node), emb) in level_nodes.iter().zip(&embs) {
+            memo.insert((ty, node, level), store.canonicalize(emb.clone()));
+        }
+        fresh.push(embs);
+    }
+
+    // Offer every fresh embedding to the store unprojected (a quantizing
+    // store encodes the original), bottom level first and in worklist
+    // order (deterministic LRU recency).
+    for (level, (level_nodes, embs)) in levels.iter().zip(fresh).enumerate() {
+        for (&(ty, node), emb) in level_nodes.iter().zip(embs) {
+            store.put(ty, node, level, emb);
         }
     }
 
-    // Offer every fresh embedding to the store, bottom level first and in
-    // worklist order (deterministic LRU recency).
-    for (level, level_nodes) in levels.iter().enumerate() {
-        for &(ty, node) in level_nodes {
-            store.put(ty, node, level, memo[&(ty, node, level)].clone());
-        }
-    }
-
-    // --- Head: per-seed MLP over the top-level embedding.
-    let (label_mean, label_std) = model.label_scale();
-    let chunks: Vec<&[usize]> = nodes.chunks(EVAL_CHUNK).collect();
-    let preds: Vec<Vec<f64>> = chunks
-        .par_iter()
-        .map(|chunk| {
-            let mut g = Graph::new();
-            let mut b = Binding::new();
-            chunk
-                .iter()
-                .map(|&v| {
-                    g.reset();
-                    b.reset();
-                    let emb = &memo[&(node_type.0, v, k)];
-                    let x = g.constant(Tensor::from_vec(1, emb.len(), emb.clone()));
-                    let out = model.gnn().head().forward(&mut g, &mut b, model.ps(), x);
-                    let y = g.value(out).get(0, 0);
-                    match model.task() {
-                        TaskKind::Binary => 1.0 / (1.0 + (-y).exp()),
-                        TaskKind::Regression => y * label_std + label_mean,
-                    }
-                })
-                .collect()
-        })
-        .collect();
+    // --- Head: per-seed MLP over the top-level embedding, widened to f64
+    // only for the final sigmoid / label rescale.
+    let head = spec.gnn.head().layers();
+    let head_act = spec.gnn.head().activation().kind();
+    let (label_mean, label_std) = spec.label_scale;
+    let preds = eval_chunked(nodes, |chunk| {
+        let (mut x, mut y) = (Vec::new(), Vec::new());
+        chunk
+            .iter()
+            .map(|&v| {
+                x.clear();
+                x.extend_from_slice(&memo[&(node_type.0, v, k)]);
+                for (i, lin) in head.iter().enumerate() {
+                    let act = if i + 1 < head.len() {
+                        head_act
+                    } else {
+                        ActKind::Identity
+                    };
+                    model.linear(lin, &mut x, 1, act, &mut y);
+                    std::mem::swap(&mut x, &mut y);
+                }
+                let y: f64 = x[0].into();
+                match spec.task {
+                    TaskKind::Binary => 1.0 / (1.0 + (-y).exp()),
+                    TaskKind::Regression => y * label_std + label_mean,
+                }
+            })
+            .collect()
+    });
 
     if let Some(t0) = t0 {
         obs::add("gnn.infer.seeds", nodes.len() as u64);
@@ -235,48 +418,20 @@ pub fn predict_nodes(
         obs::add("gnn.infer.store_hits", store_hits);
         obs::record_ns("gnn.infer", t0.elapsed().as_nanos() as u64);
     }
-    preds.into_iter().flatten().collect()
-}
-
-/// Register `(ty, node, level)` as needed unless it is already memoized,
-/// queued, or available from the store.
-#[allow(clippy::too_many_arguments)]
-fn request(
-    ty: usize,
-    node: usize,
-    level: usize,
-    levels: &mut [Vec<(usize, usize)>],
-    needed: &mut HashSet<Key>,
-    memo: &mut HashMap<Key, Vec<f64>>,
-    store: &mut dyn EmbeddingStore,
-    store_hits: &mut u64,
-) {
-    let key = (ty, node, level);
-    if memo.contains_key(&key) || needed.contains(&key) {
-        return;
-    }
-    if let Some(emb) = store.get(ty, node, level) {
-        *store_hits += 1;
-        memo.insert(key, emb);
-        return;
-    }
-    needed.insert(key);
-    levels[level].push((ty, node));
+    preds
 }
 
 /// The node's kept neighbors per edge type: the most recent `fanout`
 /// anchor-visible out-neighbors, in ascending-time (slice) order — exactly
-/// what the temporal sampler keeps when it expands this node. Shared with
-/// the `f32` inference path (`infer32`), which must walk the identical
-/// neighborhoods.
-pub(crate) fn child_lists(
+/// what the temporal sampler keeps when it expands this node.
+fn child_lists(
     graph: &HeteroGraph,
     cfg: &SamplerConfig,
     ty: usize,
     node: usize,
     fanout: usize,
     anchor: i64,
-) -> Vec<(usize, Vec<usize>)> {
+) -> Vec<ChildList> {
     let mut out = Vec::new();
     for &et in graph.edge_types_from(NodeTypeId(ty)) {
         let meta = graph.edge_type(et);
@@ -294,15 +449,19 @@ pub(crate) fn child_lists(
             }
             nbrs.push(nbr);
         }
-        out.push((et.0, nbrs));
+        out.push(ChildList {
+            et: et.0,
+            dst: meta.dst.0,
+            nbrs,
+        });
     }
     out
 }
 
 /// The level-0 input row for a node — identical (bitwise) to the row
-/// [`build_batch`](crate::batch::build_batch) produces for it. Shared with
-/// the `f32` inference path, which narrows it once per node.
-pub(crate) fn feature_row(
+/// [`build_batch`](crate::batch::build_batch) produces for it; reduced
+/// precisions narrow it once per node.
+fn feature_row(
     graph: &HeteroGraph,
     cfg: &SamplerConfig,
     ty: usize,
@@ -342,58 +501,87 @@ pub(crate) fn feature_row(
 }
 
 /// One SAGE layer applied to one node: fused self transform, plus one
-/// message matmul + segment aggregation per edge type with kept neighbors,
-/// in ascending edge-type order — the per-element accumulation order of the
-/// batched layer forward.
-#[allow(clippy::too_many_arguments)]
-fn eval_node(
-    g: &mut Graph,
-    b: &mut Binding,
-    model: &NodeModel,
-    graph: &HeteroGraph,
-    layer: &SageLayer,
-    memo: &HashMap<Key, Vec<f64>>,
-    clists: &HashMap<Key, Vec<(usize, Vec<usize>)>>,
+/// message matmul + single-segment aggregation per edge type with kept
+/// neighbors, in ascending edge-type order — the per-element accumulation
+/// order of the batched layer forward.
+fn eval_node<M: InferModel>(
+    model: &M,
+    memo: &HashMap<Key, Vec<M::Elem>>,
+    lists: &[ChildList],
     ty: usize,
     node: usize,
     level: usize,
-) -> Vec<f64> {
-    let lists = &clists[&(ty, node, level)];
-    let has_children = lists.iter().any(|(_, nbrs)| !nbrs.is_empty());
-    let x_self = &memo[&(ty, node, level - 1)];
-    let x = g.constant(Tensor::from_vec(1, x_self.len(), x_self.clone()));
+) -> Vec<M::Elem> {
+    let layer = &model.spec().gnn.layers()[level - 1];
+    let activation = layer.activation().kind();
+    let has_children = lists.iter().any(|l| !l.nbrs.is_empty());
     // Nodes with no kept neighbors fuse the activation into the self
     // transform (the batched layer does the same per node type).
     let act = if has_children {
-        Activation::Identity
+        ActKind::Identity
     } else {
-        layer.activation()
+        activation
     };
-    let mut acc = layer.self_lin(ty).forward_act(g, b, model.ps(), x, act);
-    for (et, nbrs) in lists {
-        if nbrs.is_empty() {
-            continue;
+    let mut x = memo[&(ty, node, level - 1)].clone();
+    let mut acc = Vec::new();
+    model.linear(&layer.self_lins()[ty], &mut x, 1, act, &mut acc);
+    let (mut msg, mut seg) = (Vec::new(), Vec::new());
+    for list in lists.iter().filter(|l| !l.nbrs.is_empty()) {
+        x.clear();
+        for &nbr in &list.nbrs {
+            x.extend_from_slice(&memo[&(list.dst, nbr, level - 1)]);
         }
-        let dst = graph.edge_type(relgraph_graph::EdgeTypeId(*et)).dst.0;
-        let d = memo[&(dst, nbrs[0], level - 1)].len();
-        let mut data = Vec::with_capacity(nbrs.len() * d);
-        for &nbr in nbrs {
-            data.extend_from_slice(&memo[&(dst, nbr, level - 1)]);
-        }
-        let stacked = g.constant(Tensor::from_vec(nbrs.len(), d, data));
-        let msg = layer.edge_lin(*et).forward(g, b, model.ps(), stacked);
-        let agg = match layer.aggregation() {
-            Aggregation::Mean => g.segment_mean(msg, vec![0; nbrs.len()], 1),
-            Aggregation::Sum => g.segment_sum(msg, vec![0; nbrs.len()], 1),
-            Aggregation::Max => g.segment_max(msg, vec![0; nbrs.len()], 1),
-        }
-        .expect("single segment is always in range");
-        acc = g.add(acc, agg);
+        let rows = list.nbrs.len();
+        let lin = &layer.edge_lins()[list.et];
+        model.linear(lin, &mut x, rows, ActKind::Identity, &mut msg);
+        aggregate_into(layer.aggregation(), &msg, &mut seg, &mut acc);
     }
     if has_children {
-        acc = layer.activation().apply(g, acc);
+        for a in &mut acc {
+            *a = M::Elem::act(activation, *a);
+        }
     }
-    g.value(acc).row(0).to_vec()
+    acc
+}
+
+/// Reduce the message rows in `msg` to one row (in the scratch `seg`) and
+/// add it to `acc`, by the autodiff tape's single-segment rule: rows
+/// accumulate in ascending order from zero; the mean scales by `1/rows`
+/// only when `rows > 1`; the max starts from the first row and replaces on
+/// `>`.
+fn aggregate_into<E: Element>(agg: Aggregation, msg: &[E], seg: &mut Vec<E>, acc: &mut [E]) {
+    let d = acc.len();
+    let rows = msg.len() / d;
+    seg.clear();
+    seg.resize(d, E::default());
+    match agg {
+        Aggregation::Mean | Aggregation::Sum => {
+            for row in msg.chunks_exact(d) {
+                for (s, &m) in seg.iter_mut().zip(row) {
+                    *s += m;
+                }
+            }
+            if agg == Aggregation::Mean && rows > 1 {
+                let inv = E::from_f64(1.0 / rows as f64);
+                for s in seg.iter_mut() {
+                    *s *= inv;
+                }
+            }
+        }
+        Aggregation::Max => {
+            seg.copy_from_slice(&msg[..d]);
+            for row in msg.chunks_exact(d).skip(1) {
+                for (s, &m) in seg.iter_mut().zip(row) {
+                    if m > *s {
+                        *s = m;
+                    }
+                }
+            }
+        }
+    }
+    for (a, &s) in acc.iter_mut().zip(seg.iter()) {
+        *a += s;
+    }
 }
 
 #[cfg(test)]
@@ -403,6 +591,8 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use relgraph_graph::{FeatureMatrix, HeteroGraphBuilder, Seed};
+    use relgraph_nn::{Activation, Binding};
+    use relgraph_tensor::Graph;
 
     /// Users share items (overlapping neighborhoods) with creation times,
     /// so temporal visibility and degree windows are all exercised.
@@ -467,6 +657,45 @@ mod tests {
         train_node_model(g, TaskKind::Binary, examples, &[], &cfg).unwrap()
     }
 
+    /// A naive unbounded lossless store, in either precision.
+    struct MapStore<E>(HashMap<Key, Vec<E>>);
+
+    impl<E: Clone + Send> EmbeddingStore<E> for MapStore<E> {
+        fn get(&mut self, ty: usize, node: usize, level: usize) -> Option<Vec<E>> {
+            self.0.get(&(ty, node, level)).cloned()
+        }
+        fn put(&mut self, ty: usize, node: usize, level: usize, emb: Vec<E>) {
+            self.0.insert((ty, node, level), emb);
+        }
+    }
+
+    fn assert_bits_eq(a: &[f64], b: &[f64], what: &str) {
+        assert_eq!(a.len(), b.len());
+        for (i, (x, y)) in a.iter().zip(b).enumerate() {
+            assert_eq!(x.to_bits(), y.to_bits(), "{what}: entry {i}: {x} vs {y}");
+        }
+    }
+
+    /// A second batch served entirely from the store, and one served from
+    /// a partial store (only some entries retained), must reproduce the
+    /// cold predictions bit for bit.
+    fn check_store_reuse<M: InferModel>(model: &M, g: &HeteroGraph, nodes: &[usize], anchor: i64) {
+        let ty = NodeTypeId(0);
+        let mut store = MapStore(HashMap::new());
+        let cold = infer_nodes(model, g, ty, nodes, anchor, &mut store);
+        assert!(!store.0.is_empty(), "store should have been populated");
+        let warm = infer_nodes(model, g, ty, nodes, anchor, &mut store);
+        assert_bits_eq(&cold, &warm, "warm diverged from cold");
+        let mut partial = MapStore(HashMap::new());
+        for (&(ty, node, level), emb) in store.0.iter() {
+            if (ty + node) % 3 == 0 {
+                partial.0.insert((ty, node, level), emb.clone());
+            }
+        }
+        let mixed = infer_nodes(model, g, ty, nodes, anchor, &mut partial);
+        assert_bits_eq(&cold, &mixed, "partial-cache run diverged");
+    }
+
     #[test]
     fn matches_per_seed_prediction_closely() {
         let (g, examples) = shared_item_graph(40, 1);
@@ -493,40 +722,35 @@ mod tests {
 
     #[test]
     fn store_reuse_is_bit_identical() {
-        // A naive unbounded store: a second batch served entirely from the
-        // cache must reproduce the cold predictions bit for bit.
-        #[derive(Default)]
-        struct MapStore(HashMap<Key, Vec<f64>>);
-        impl EmbeddingStore for MapStore {
-            fn get(&mut self, ty: usize, node: usize, level: usize) -> Option<Vec<f64>> {
-                self.0.get(&(ty, node, level)).cloned()
-            }
-            fn put(&mut self, ty: usize, node: usize, level: usize, emb: Vec<f64>) {
-                self.0.insert((ty, node, level), emb);
-            }
-        }
         let (g, examples) = shared_item_graph(30, 2);
         let model = model_for(&g, &examples);
         let nodes: Vec<usize> = examples.iter().map(|&(s, _)| s.node).collect();
+        check_store_reuse(&model, &g, &nodes, examples[0].0.time);
+    }
+
+    #[test]
+    fn f32_store_reuse_is_bit_identical() {
+        let (g, examples) = shared_item_graph(30, 2);
+        let m32 = InferModel32::from_model(&model_for(&g, &examples));
+        let nodes: Vec<usize> = examples.iter().map(|&(s, _)| s.node).collect();
+        check_store_reuse(&m32, &g, &nodes, examples[0].0.time);
+    }
+
+    #[test]
+    fn f32_predictions_track_f64_within_tolerance() {
+        let (g, examples) = shared_item_graph(24, 7);
+        let model = model_for(&g, &examples);
+        let nodes: Vec<usize> = examples.iter().map(|&(s, _)| s.node).collect();
         let anchor = examples[0].0.time;
-        let mut store = MapStore::default();
-        let cold = predict_nodes(&model, &g, NodeTypeId(0), &nodes, anchor, &mut store);
-        assert!(!store.0.is_empty(), "store should have been populated");
-        let warm = predict_nodes(&model, &g, NodeTypeId(0), &nodes, anchor, &mut store);
-        for (a, b) in cold.iter().zip(&warm) {
-            assert_eq!(a.to_bits(), b.to_bits(), "warm diverged from cold");
-        }
-        // Partial caches (only some levels retained) must not change values
-        // either.
-        let mut partial = MapStore::default();
-        for (&(ty, node, level), emb) in store.0.iter() {
-            if (ty + node) % 3 == 0 {
-                partial.0.insert((ty, node, level), emb.clone());
-            }
-        }
-        let mixed = predict_nodes(&model, &g, NodeTypeId(0), &nodes, anchor, &mut partial);
-        for (a, b) in cold.iter().zip(&mixed) {
-            assert_eq!(a.to_bits(), b.to_bits(), "partial-cache run diverged");
+        let reference = predict_nodes(&model, &g, NodeTypeId(0), &nodes, anchor, &mut NoCache);
+        let m32 = InferModel32::from_model(&model);
+        let got = predict_nodes_f32(&m32, &g, NodeTypeId(0), &nodes, anchor, &mut NoCache);
+        assert_eq!(got.len(), reference.len());
+        for (i, (a, b)) in got.iter().zip(&reference).enumerate() {
+            assert!(
+                (a - b).abs() < 1e-3,
+                "seed {i}: f32 {a} vs f64 {b} diverged past the §15 tolerance"
+            );
         }
     }
 
@@ -536,19 +760,119 @@ mod tests {
         let model = model_for(&g, &examples);
         let nodes: Vec<usize> = examples.iter().map(|&(s, _)| s.node).collect();
         let anchor = examples[0].0.time;
-        // Per-seed sampling visits ~|seeds| * (1 + 3 + 9) nodes; the deduped
-        // recursion can touch at most every (node, level) pair once.
-        let k = model.gnn().num_layers();
-        let max_unique: usize = (0..=k)
-            .map(|_| g.num_nodes(NodeTypeId(0)) + g.num_nodes(NodeTypeId(1)))
-            .sum();
         // Duplicate the request list: identical predictions, no extra work.
         let doubled: Vec<usize> = nodes.iter().chain(nodes.iter()).copied().collect();
         let preds = predict_nodes(&model, &g, NodeTypeId(0), &doubled, anchor, &mut NoCache);
         assert_eq!(preds.len(), doubled.len());
-        for (a, b) in preds[..nodes.len()].iter().zip(&preds[nodes.len()..]) {
-            assert_eq!(a.to_bits(), b.to_bits());
+        assert_bits_eq(&preds[..nodes.len()], &preds[nodes.len()..], "duplicate");
+    }
+
+    /// The parent's tape-built evaluator, kept as the bitwise reference for
+    /// the tape-free `f64` view: every node builds an autodiff graph, binds
+    /// (copies) its weights into it and reads the value back out.
+    mod tape_oracle {
+        use super::*;
+
+        pub fn eval_node(
+            model: &NodeModel,
+            memo: &HashMap<Key, Vec<f64>>,
+            lists: &[ChildList],
+            ty: usize,
+            node: usize,
+            level: usize,
+        ) -> Vec<f64> {
+            let (g, b) = (&mut Graph::new(), &mut Binding::new());
+            let layer = &model.gnn().layers()[level - 1];
+            let has_children = lists.iter().any(|l| !l.nbrs.is_empty());
+            let x_self = &memo[&(ty, node, level - 1)];
+            let x = g.constant(Tensor::from_vec(1, x_self.len(), x_self.clone()));
+            let act = if has_children {
+                Activation::Identity
+            } else {
+                layer.activation()
+            };
+            let mut acc = layer.self_lins()[ty].forward_act(g, b, model.ps(), x, act);
+            for list in lists.iter().filter(|l| !l.nbrs.is_empty()) {
+                let n = list.nbrs.len();
+                let d = memo[&(list.dst, list.nbrs[0], level - 1)].len();
+                let mut data = Vec::with_capacity(n * d);
+                for &nbr in &list.nbrs {
+                    data.extend_from_slice(&memo[&(list.dst, nbr, level - 1)]);
+                }
+                let stacked = g.constant(Tensor::from_vec(n, d, data));
+                let msg = layer.edge_lins()[list.et].forward(g, b, model.ps(), stacked);
+                let agg = match layer.aggregation() {
+                    Aggregation::Mean => g.segment_mean(msg, vec![0; n], 1),
+                    Aggregation::Sum => g.segment_sum(msg, vec![0; n], 1),
+                    Aggregation::Max => g.segment_max(msg, vec![0; n], 1),
+                }
+                .expect("single segment is always in range");
+                acc = g.add(acc, agg);
+            }
+            if has_children {
+                acc = layer.activation().apply(g, acc);
+            }
+            g.value(acc).row(0).to_vec()
         }
-        assert!(max_unique > 0);
+
+        pub fn head(model: &NodeModel, emb: &[f64]) -> f64 {
+            let (g, b) = (&mut Graph::new(), &mut Binding::new());
+            let x = g.constant(Tensor::from_vec(1, emb.len(), emb.to_vec()));
+            let out = model.gnn().head().forward(g, b, model.ps(), x);
+            g.value(out).get(0, 0)
+        }
+    }
+
+    #[test]
+    fn tape_free_f64_equals_the_tape_bit_for_bit() {
+        let (g, examples) = shared_item_graph(30, 5);
+        let trained = model_for(&g, &examples);
+        let cfg = trained.sampler_cfg().clone();
+        // An anchor early enough that many edges are not yet visible: some
+        // nodes keep no neighbor at all (fused-activation branch), some
+        // exactly one per edge type (the mean's `c > 1` rule), some more.
+        let anchor = 14 * SECONDS_PER_DAY;
+        let mut childless = false;
+        let mut segment_sizes = HashSet::new();
+        for agg in [Aggregation::Mean, Aggregation::Sum, Aggregation::Max] {
+            for act in [
+                Activation::Identity,
+                Activation::Relu,
+                Activation::LeakyRelu(0.1),
+                Activation::Tanh,
+                Activation::Sigmoid,
+            ] {
+                let mut state = trained.export();
+                state.gnn_config.aggregation = agg;
+                state.gnn_config.activation = act;
+                let model = NodeModel::from_state(state).unwrap();
+                // One cold walk through the public entry point; the store
+                // keeps every embedding it computed, which is then also the
+                // memo the oracle re-derives each of them from.
+                let users: Vec<usize> = (0..g.num_nodes(NodeTypeId(0))).collect();
+                let mut store = MapStore(HashMap::new());
+                let got = predict_nodes(&model, &g, NodeTypeId(0), &users, anchor, &mut store);
+                for (&(ty, node, level), emb) in store.0.iter().filter(|(k, _)| k.2 > 0) {
+                    let lists = child_lists(&g, &cfg, ty, node, cfg.fanouts[2 - level], anchor);
+                    childless |= lists.iter().all(|l| l.nbrs.is_empty());
+                    segment_sizes.extend(lists.iter().map(|l| l.nbrs.len()));
+                    let want = tape_oracle::eval_node(&model, &store.0, &lists, ty, node, level);
+                    assert_bits_eq(emb, &want, &format!("{agg} {act:?} ({ty},{node},{level})"));
+                }
+                let want: Vec<f64> = users
+                    .iter()
+                    .map(|&u| {
+                        let y = tape_oracle::head(&model, &store.0[&(0, u, 2)]);
+                        1.0 / (1.0 + (-y).exp())
+                    })
+                    .collect();
+                assert_bits_eq(&got, &want, &format!("{agg} {act:?} head"));
+            }
+        }
+        assert!(childless, "fixture no longer produces a childless node");
+        assert!(
+            segment_sizes.contains(&1) && segment_sizes.contains(&2),
+            "fixture no longer produces 1- and 2-neighbor segments: {segment_sizes:?}"
+        );
     }
 }

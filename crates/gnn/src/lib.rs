@@ -15,10 +15,16 @@
 //!   BCE, regression with Huber on standardized targets), with mini-batch
 //!   Adam, gradient clipping and early stopping;
 //! * [`recommend`] trains a two-tower recommendation model (GNN user tower,
-//!   linear item tower) with a BPR ranking loss.
+//!   linear item tower) with a BPR ranking loss;
+//! * [`infer`] is the serving-time per-node walk ([`infer_nodes`]): one
+//!   deduplicating recursion generic over the model view, instantiated for
+//!   `f64` ([`NodeModel`], [`predict_nodes`]) and `f32` ([`InferModel32`]
+//!   from [`precision`], [`predict_nodes_f32`]).
 //!
 //! Training and prediction report timings, per-epoch loss curves and
-//! sampler statistics through `relgraph-obs` when a sink is installed.
+//! sampler statistics through `relgraph-obs` when a sink is installed;
+//! the per-node walk reports `gnn.infer.{seeds,evals,store_hits}` and the
+//! `gnn.infer` span in every precision.
 //!
 //! ## Example
 //!
@@ -56,17 +62,23 @@
 pub mod batch;
 pub mod error;
 pub mod infer;
-pub mod infer32;
 pub mod model;
+pub mod precision;
 pub mod recommend;
 pub mod sage;
 pub mod train;
 
 pub use batch::{build_batch, Batch};
 pub use error::{GnnError, GnnResult};
-pub use infer::{predict_nodes, EmbeddingStore, NoCache};
-pub use infer32::{predict_nodes_f32, EmbeddingStore32, InferModel32, NoCache32, Precision};
+/// [`NoCache`] under the name `f32` call sites spell: the unit struct
+/// stores nothing in any element type.
+pub use infer::NoCache as NoCache32;
+pub use infer::{
+    infer_nodes, predict_nodes, predict_nodes_f32, Element, EmbeddingStore, InferModel, ModelSpec,
+    NoCache,
+};
 pub use model::{GnnConfig, HeteroGnn};
+pub use precision::{InferModel32, Precision};
 pub use recommend::{train_two_tower, TwoTowerConfig, TwoTowerModel};
 pub use sage::Aggregation;
 pub use train::{

@@ -104,23 +104,12 @@ impl SageLayer {
         self.out_dim
     }
 
-    /// Self transform for node type `t` (per-node inference path).
-    pub(crate) fn self_lin(&self, t: usize) -> &Linear {
-        &self.self_lin[t]
-    }
-
-    /// Message transform for edge type `e` (per-node inference path).
-    pub(crate) fn edge_lin(&self, e: usize) -> &Linear {
-        &self.edge_lin[e]
-    }
-
-    /// All per-type self transforms (precision down-conversion path).
+    /// Per-type self transforms (per-node inference path).
     pub(crate) fn self_lins(&self) -> &[Linear] {
         &self.self_lin
     }
 
-    /// All per-edge-type message transforms (precision down-conversion
-    /// path).
+    /// Per-edge-type message transforms (per-node inference path).
     pub(crate) fn edge_lins(&self) -> &[Linear] {
         &self.edge_lin
     }

@@ -83,8 +83,14 @@ impl Linear {
         self.out_dim
     }
 
+    /// The weight matrix's parameter handle — identifies this layer in
+    /// tables kept beside the [`ParamSet`].
+    pub fn weight_id(&self) -> ParamId {
+        self.w
+    }
+
     /// Borrow the weight matrix (`in_dim × out_dim`) from `ps` — the
-    /// read-only export used by precision down-conversion at serve time.
+    /// read-only export the tape-free serving path multiplies through.
     pub fn weight<'a>(&self, ps: &'a ParamSet) -> &'a Tensor {
         ps.value(self.w)
     }

@@ -6,6 +6,14 @@ use relgraph_tensor::{Graph, Tensor, Var};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ParamId(usize);
 
+impl ParamId {
+    /// Position in registration order — a dense key for tables kept
+    /// beside a [`ParamSet`] (e.g. narrowed copies of the weights).
+    pub fn index(self) -> usize {
+        self.0
+    }
+}
+
 struct ParamSlot {
     name: String,
     value: Tensor,

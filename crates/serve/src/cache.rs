@@ -3,17 +3,27 @@
 //! [`Lru`] is an intrusive-list LRU over a slab: O(1) get/insert/remove,
 //! no per-operation allocation once warm. The engine stacks two of them —
 //! a small one for final per-entity predictions and a larger one for hop-ℓ
-//! node embeddings ([`EmbeddingCache`], which implements
-//! [`relgraph_gnn::EmbeddingStore`] so `predict_nodes` can consult it
+//! node embeddings ([`RowCache`], which implements
+//! [`relgraph_gnn::EmbeddingStore`] so the per-node walk can consult it
 //! mid-recursion). Since cached embeddings are pure functions of
 //! `(type, node, level, anchor)`, the caches can only ever *skip* work,
 //! never change a value — correctness reduces to evicting the right
 //! entries when the graph underneath changes (see `engine::ServeEngine`).
+//!
+//! The embedding cache is written once, generic over how a row is *held*
+//! ([`CachedRow`]): raw `Vec<f64>` / `Vec<f32>` rows store and return the
+//! value unchanged, [`QuantizedRow`] stores
+//! 8-bit codes and decodes on every hit. [`EmbeddingCache`],
+//! [`EmbeddingCache32`] and [`QuantizedEmbeddingCache`] are its three
+//! instantiations.
 
 use std::collections::HashMap;
 use std::hash::Hash;
 
-use relgraph_gnn::EmbeddingStore;
+use relgraph_gnn::{Element, EmbeddingStore};
+
+use crate::l2::L2Row;
+use crate::quant::QuantizedRow;
 
 const NIL: usize = usize::MAX;
 
@@ -270,20 +280,84 @@ impl CacheStats {
     }
 }
 
-/// The embedding tier: an [`Lru`] keyed `(node type, node, level)` that
-/// plugs into [`relgraph_gnn::predict_nodes`] as its [`EmbeddingStore`].
-pub struct EmbeddingCache {
-    lru: Lru<(usize, usize, usize), Vec<f64>>,
+/// Embedding-cache key: `(node type, node, level)`.
+pub(crate) type Key = (usize, usize, usize);
+
+/// How one embedding row is held in a cache tier — the row codec. The
+/// stored type is its own codec: `Vec<f64>` and `Vec<f32>` are the
+/// identity, [`QuantizedRow`] is 8-bit quantize / dequantize.
+pub trait CachedRow: Clone + Send + Sync + Sized + 'static {
+    /// The scalar the inference walk computes in for this row type.
+    type Elem: Element;
+    /// Encode a freshly computed embedding for storage.
+    fn encode(row: Vec<Self::Elem>) -> Self;
+    /// The embedding a cache hit on this row returns.
+    fn decode(&self) -> Vec<Self::Elem>;
+    /// `decode ∘ encode`: what a warm hit would return for `row`. The
+    /// walk memoizes fresh values through this, so lossy rows keep warm
+    /// and cold runs bit-identical; lossless rows override it with the
+    /// identity.
+    fn canonicalize(row: Vec<Self::Elem>) -> Vec<Self::Elem> {
+        Self::encode(row).decode()
+    }
+    /// Wrap for the shared L2 tier (which holds any mode's rows).
+    fn into_l2(self) -> L2Row;
+    /// Unwrap an L2 row of this mode (`None` for another mode's).
+    fn from_l2(row: &L2Row) -> Option<&Self>;
+}
+
+/// Raw rows: stored, returned and canonicalized unchanged.
+macro_rules! raw_row {
+    ($elem:ty, $variant:ident) => {
+        impl CachedRow for Vec<$elem> {
+            type Elem = $elem;
+            fn encode(row: Vec<$elem>) -> Self {
+                row
+            }
+            fn decode(&self) -> Vec<$elem> {
+                self.clone()
+            }
+            fn canonicalize(row: Vec<$elem>) -> Vec<$elem> {
+                row
+            }
+            fn into_l2(self) -> L2Row {
+                L2Row::$variant(self)
+            }
+            fn from_l2(row: &L2Row) -> Option<&Self> {
+                match row {
+                    L2Row::$variant(r) => Some(r),
+                    _ => None,
+                }
+            }
+        }
+    };
+}
+raw_row!(f64, F64);
+raw_row!(f32, F32);
+
+/// The embedding tier: an [`Lru`] keyed `(node type, node, level)` holding
+/// rows as `R`, which plugs into the per-node walk
+/// ([`relgraph_gnn::infer_nodes`]) as its [`EmbeddingStore`].
+pub struct RowCache<R> {
+    lru: Lru<Key, R>,
     /// Lookups answered from cache.
     pub hits: u64,
     /// Lookups that missed.
     pub misses: u64,
 }
 
-impl EmbeddingCache {
+/// Full-precision rows (`Vec<f64>`): the default tier.
+pub type EmbeddingCache = RowCache<Vec<f64>>;
+/// Single-precision rows (`Vec<f32>`, half the bytes).
+pub type EmbeddingCache32 = RowCache<Vec<f32>>;
+/// 8-bit quantized rows (~`dim + 8` bytes instead of `8·dim`), decoded on
+/// every hit.
+pub type QuantizedEmbeddingCache = RowCache<QuantizedRow>;
+
+impl<R> RowCache<R> {
     /// An empty cache holding at most `cap` embeddings.
     pub fn new(cap: usize) -> Self {
-        EmbeddingCache {
+        RowCache {
             lru: Lru::new(cap),
             hits: 0,
             misses: 0,
@@ -305,24 +379,46 @@ impl EmbeddingCache {
         self.lru.evictions
     }
 
-    /// Drop one `(type, node, level)` entry; true if it was present.
-    pub fn invalidate(&mut self, ty: usize, node: usize, level: usize) -> bool {
-        self.lru.remove(&(ty, node, level))
+    /// Insert an already encoded row (most-recently-used).
+    pub(crate) fn insert(&mut self, key: Key, row: R) {
+        self.lru.insert(key, row);
     }
+}
 
+/// What invalidation and stats reporting need of a [`RowCache`], whatever
+/// its rows hold — one object-safe trait, so engine and shard code never
+/// name a precision.
+pub trait L1Cache {
+    /// Write this cache's lifetime hit / miss / eviction counts into the
+    /// embedding fields of `stats`.
+    fn report(&self, stats: &mut CacheStats);
+    /// Drop one `(type, node, level)` entry; true if it was present.
+    fn invalidate(&mut self, ty: usize, node: usize, level: usize) -> bool;
     /// Drop everything (the hit/miss counters survive; they describe the
     /// engine's lifetime, not one anchor's).
-    pub fn clear(&mut self) {
+    fn clear(&mut self);
+}
+
+impl<R> L1Cache for RowCache<R> {
+    fn report(&self, stats: &mut CacheStats) {
+        stats.embedding_hits = self.hits;
+        stats.embedding_misses = self.misses;
+        stats.embedding_evictions = self.evictions();
+    }
+    fn invalidate(&mut self, ty: usize, node: usize, level: usize) -> bool {
+        self.lru.remove(&(ty, node, level))
+    }
+    fn clear(&mut self) {
         self.lru.clear();
     }
 }
 
-impl EmbeddingStore for EmbeddingCache {
-    fn get(&mut self, ty: usize, node: usize, level: usize) -> Option<Vec<f64>> {
+impl<R: CachedRow> EmbeddingStore<R::Elem> for RowCache<R> {
+    fn get(&mut self, ty: usize, node: usize, level: usize) -> Option<Vec<R::Elem>> {
         match self.lru.get(&(ty, node, level)) {
-            Some(emb) => {
+            Some(row) => {
                 self.hits += 1;
-                Some(emb.clone())
+                Some(row.decode())
             }
             None => {
                 self.misses += 1;
@@ -331,8 +427,12 @@ impl EmbeddingStore for EmbeddingCache {
         }
     }
 
-    fn put(&mut self, ty: usize, node: usize, level: usize, emb: Vec<f64>) {
-        self.lru.insert((ty, node, level), emb);
+    fn put(&mut self, ty: usize, node: usize, level: usize, emb: Vec<R::Elem>) {
+        self.insert((ty, node, level), R::encode(emb));
+    }
+
+    fn canonicalize(&self, emb: Vec<R::Elem>) -> Vec<R::Elem> {
+        R::canonicalize(emb)
     }
 }
 

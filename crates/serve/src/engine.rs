@@ -4,11 +4,11 @@
 //! # Why warm and cold predictions are bit-identical
 //!
 //! A cached hop-ℓ embedding `h_ℓ(v)` is a pure function of
-//! `(type, node, level, anchor)` over the graph's current state, and
-//! [`relgraph_gnn::predict_nodes`] only ever *reuses* cache entries — it
-//! never produces a different value because one exists. So the cache can
-//! only be wrong by holding an entry whose inputs changed underneath it.
-//! [`ServeEngine::ingest`] closes exactly that hole:
+//! `(type, node, level, anchor)` over the graph's current state, and the
+//! per-node walk ([`relgraph_gnn::infer_nodes`]) only ever *reuses* cache
+//! entries — it never produces a different value because one exists. So
+//! the cache can only be wrong by holding an entry whose inputs changed
+//! underneath it. [`ServeEngine::ingest`] closes exactly that hole:
 //!
 //! 1. **Dirty seeds (distance 0).** After appending a batch and applying
 //!    the graph delta, a node is *dirty* if its level-0 input row changed —
@@ -36,10 +36,7 @@ use std::sync::Arc;
 use relgraph_db2graph::{
     build_graph, update_graph, ConvertOptions, DeltaStats, GraphCursor, GraphMapping,
 };
-use relgraph_gnn::{
-    predict_nodes, predict_nodes_f32, EmbeddingStore, EmbeddingStore32, InferModel32, NodeModel,
-    Precision,
-};
+use relgraph_gnn::{NodeModel, Precision};
 use relgraph_graph::{FeatureMatrix, HeteroGraph, NodeTypeId};
 use relgraph_obs as obs;
 use relgraph_pq::{ExecConfig, PreparedQuery};
@@ -47,10 +44,11 @@ use relgraph_store::{
     Database, IngestPolicy, IngestReport, RowBatch, StoreResult, Timestamp, Value,
 };
 
-use crate::cache::{CacheStats, Lru};
+use crate::cache::{CacheStats, Key, Lru};
 use crate::error::{ServeError, ServeResult};
 use crate::invalidate::{dirty_closure, evict_dirty, grown_tables, TableGrowth};
-use crate::quant::EmbeddingTier;
+use crate::l2::{L2Row, L2Snapshot};
+use crate::quant::{embedding_tiers, EmbeddingTier};
 
 /// Serving knobs: batch bounds and cache capacities.
 #[derive(Debug, Clone)]
@@ -63,9 +61,10 @@ pub struct ServeConfig {
     pub prediction_cache: usize,
     /// Capacity of the node-embedding tier (entries).
     pub embedding_cache: usize,
-    /// Numeric mode of the inference path and embedding tier. Training
-    /// always runs in `f64`; `F32`/`Q8` down-convert the fitted weights
-    /// once at engine assembly (tolerance story: `DESIGN.md` §15).
+    /// Numeric mode of the inference path and embedding tier, fixed when
+    /// the engine is assembled. Training always runs in `f64`; `F32`/`Q8`
+    /// down-convert the fitted weights once at assembly (tolerance story:
+    /// `DESIGN.md` §15).
     pub precision: Precision,
     /// Write-path group-commit window, in batches: how many consecutive
     /// ingest batches the serving tier coalesces into one WAL fsync and
@@ -153,15 +152,13 @@ pub struct ServeEngine {
     opts: ConvertOptions,
     query: PreparedQuery,
     model: Arc<NodeModel>,
-    /// Weights down-converted to `f32` once at assembly; `None` in `F64`
-    /// mode (the `f64` path must stay bitwise untouched by this feature).
-    model32: Option<Arc<InferModel32>>,
     node_type: NodeTypeId,
     metrics: Vec<(String, f64)>,
     anchor: Timestamp,
     hops: usize,
     predictions: Lru<usize, f64>,
-    embeddings: EmbeddingTier,
+    /// The model view and L1 embedding cache of `cfg.precision`.
+    embeddings: Box<dyn EmbeddingTier>,
     stats: CacheStats,
     cfg: ServeConfig,
 }
@@ -254,10 +251,9 @@ impl ServeEngine {
         let cursor = GraphCursor::capture(&db);
         let anchor = deploy_anchor(&db);
         let hops = model.sampler_cfg().fanouts.len();
-        let model32 = match cfg.precision {
-            Precision::F64 => None,
-            Precision::F32 | Precision::Q8 => Some(Arc::new(InferModel32::from_model(&model))),
-        };
+        let embeddings = embedding_tiers(cfg.precision, &model, cfg.embedding_cache, 1)
+            .pop()
+            .expect("one tier requested");
         Ok(ServeEngine {
             db,
             graph,
@@ -266,13 +262,12 @@ impl ServeEngine {
             opts,
             query,
             model,
-            model32,
             node_type,
             metrics,
             anchor,
             hops,
             predictions: Lru::new(cfg.prediction_cache),
-            embeddings: EmbeddingTier::new(cfg.precision, cfg.embedding_cache),
+            embeddings,
             stats: CacheStats::default(),
             cfg,
         })
@@ -284,28 +279,16 @@ impl ServeEngine {
     /// input order; duplicate rows are computed once.
     pub fn predict_batch(&mut self, rows: &[usize]) -> Vec<f64> {
         let t0 = std::time::Instant::now();
-        let out = match &self.model32 {
-            None => predict_batch_cached(
-                &self.model,
-                &self.graph,
-                self.node_type,
-                self.anchor,
-                rows,
-                &mut self.predictions,
-                self.embeddings.as_f64_mut(),
-                &mut self.stats,
-            ),
-            Some(m32) => predict_batch_cached32(
-                m32,
-                &self.graph,
-                self.node_type,
-                self.anchor,
-                rows,
-                &mut self.predictions,
-                self.embeddings.as_store32_mut(),
-                &mut self.stats,
-            ),
-        };
+        let (out, _) = predict_batch_cached(
+            &self.graph,
+            self.node_type,
+            self.anchor,
+            rows,
+            &mut self.predictions,
+            self.embeddings.as_mut(),
+            None,
+            &mut self.stats,
+        );
         self.sync_stats();
         if obs::enabled() {
             obs::add("serve.requests", rows.len() as u64);
@@ -483,7 +466,7 @@ impl ServeEngine {
             self.hops,
             self.node_type.0,
             &mut self.predictions,
-            &mut self.embeddings,
+            self.embeddings.l1(),
         );
         outcome.invalidated_embeddings = emb;
         outcome.invalidated_predictions = pred;
@@ -507,7 +490,7 @@ impl ServeEngine {
 
     fn flush_caches(&mut self) {
         self.predictions.clear();
-        self.embeddings.clear();
+        self.embeddings.l1().clear();
         self.stats.flushes += 1;
         if obs::enabled() {
             obs::add("serve.cache.flushes", 1);
@@ -516,9 +499,7 @@ impl ServeEngine {
 
     fn sync_stats(&mut self) {
         self.stats.prediction_evictions = self.predictions.evictions;
-        self.stats.embedding_hits = self.embeddings.hits();
-        self.stats.embedding_misses = self.embeddings.misses();
-        self.stats.embedding_evictions = self.embeddings.evictions();
+        self.embeddings.l1().report(&mut self.stats);
     }
 
     /// Publish cache counters and hit-rate gauges through `relgraph-obs`
@@ -559,12 +540,6 @@ impl ServeEngine {
     /// tier and tests hand it to [`ServeEngine::from_fitted`]).
     pub fn model_handle(&self) -> Arc<NodeModel> {
         Arc::clone(&self.model)
-    }
-
-    /// The down-converted `f32` inference model, when serving in a
-    /// reduced precision (`None` in `F64` mode).
-    pub fn model32_handle(&self) -> Option<Arc<InferModel32>> {
-        self.model32.clone()
     }
 
     /// The numeric mode this engine serves in.
@@ -618,24 +593,30 @@ pub(crate) fn deploy_anchor(db: &Database) -> Timestamp {
 /// each shard of the concurrent tier can run it against its *own* cache
 /// slice and whatever graph snapshot it currently holds. Cached
 /// predictions short-circuit; the rest run through the deduplicating
-/// per-node path against the embedding tier. Output order matches input
-/// order; duplicate rows are computed once.
+/// per-node walk against the embedding tier (layered over the shared L2
+/// view `l2`, when the caller has one). Output order matches input order;
+/// duplicate rows are computed once. Also returns the rows the tier staged
+/// for L2 promotion (empty without an L2 view).
 ///
-/// Batch composition never changes a value: `predict_nodes` evaluates each
-/// node as a pure function of `(type, node, level, anchor)`, which is why
-/// any partitioning of a request stream across shards — each with its own
+/// The prediction tier stays exact `f64` in every precision — only the
+/// embedding payloads and the arithmetic are reduced, so cached and
+/// recomputed predictions agree bitwise within a mode.
+///
+/// Batch composition never changes a value: the walk evaluates each node
+/// as a pure function of `(type, node, level, anchor)`, which is why any
+/// partitioning of a request stream across shards — each with its own
 /// caches — stays bit-identical to a single engine scoring the same rows.
 #[allow(clippy::too_many_arguments)]
 pub fn predict_batch_cached(
-    model: &NodeModel,
     graph: &HeteroGraph,
     node_type: NodeTypeId,
     anchor: Timestamp,
     rows: &[usize],
     predictions: &mut Lru<usize, f64>,
-    embeddings: &mut dyn EmbeddingStore,
+    embeddings: &mut dyn EmbeddingTier,
+    l2: Option<&L2Snapshot>,
     stats: &mut CacheStats,
-) -> Vec<f64> {
+) -> (Vec<f64>, Vec<(Key, L2Row)>) {
     let mut out = vec![0.0f64; rows.len()];
     let mut miss_rows: Vec<usize> = Vec::new();
     let mut miss_slot: HashMap<usize, usize> = HashMap::new();
@@ -657,8 +638,10 @@ pub fn predict_batch_cached(
             miss_positions.push((i, slot));
         }
     }
+    let mut staged = Vec::new();
     if !miss_rows.is_empty() {
-        let preds = predict_nodes(model, graph, node_type, &miss_rows, anchor, embeddings);
+        let preds;
+        (preds, staged) = embeddings.score(graph, node_type, anchor, &miss_rows, l2, stats);
         for (&row, &p) in miss_rows.iter().zip(&preds) {
             predictions.insert(row, p);
         }
@@ -666,53 +649,5 @@ pub fn predict_batch_cached(
             out[i] = preds[slot];
         }
     }
-    out
-}
-
-/// The reduced-precision twin of [`predict_batch_cached`]: the same
-/// prediction-tier short-circuit and in-batch dedup, with the misses
-/// scored by [`predict_nodes_f32`] against a lossy-or-lossless
-/// [`EmbeddingStore32`]. The prediction tier stays exact `f64` — only the
-/// embedding payloads and the arithmetic are reduced, so cached and
-/// recomputed predictions agree bitwise within a mode.
-#[allow(clippy::too_many_arguments)]
-pub fn predict_batch_cached32(
-    model32: &InferModel32,
-    graph: &HeteroGraph,
-    node_type: NodeTypeId,
-    anchor: Timestamp,
-    rows: &[usize],
-    predictions: &mut Lru<usize, f64>,
-    embeddings: &mut dyn EmbeddingStore32,
-    stats: &mut CacheStats,
-) -> Vec<f64> {
-    let mut out = vec![0.0f64; rows.len()];
-    let mut miss_rows: Vec<usize> = Vec::new();
-    let mut miss_slot: HashMap<usize, usize> = HashMap::new();
-    let mut miss_positions: Vec<(usize, usize)> = Vec::new(); // (out idx, miss idx)
-    for (i, &row) in rows.iter().enumerate() {
-        if let Some(&p) = predictions.get(&row) {
-            stats.prediction_hits += 1;
-            out[i] = p;
-        } else if let Some(&slot) = miss_slot.get(&row) {
-            stats.prediction_misses += 1;
-            miss_positions.push((i, slot));
-        } else {
-            stats.prediction_misses += 1;
-            let slot = miss_rows.len();
-            miss_rows.push(row);
-            miss_slot.insert(row, slot);
-            miss_positions.push((i, slot));
-        }
-    }
-    if !miss_rows.is_empty() {
-        let preds = predict_nodes_f32(model32, graph, node_type, &miss_rows, anchor, embeddings);
-        for (&row, &p) in miss_rows.iter().zip(&preds) {
-            predictions.insert(row, p);
-        }
-        for (i, slot) in miss_positions {
-            out[i] = preds[slot];
-        }
-    }
-    out
+    (out, staged)
 }

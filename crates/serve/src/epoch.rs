@@ -113,24 +113,34 @@ mod tests {
     fn concurrent_loads_never_observe_torn_or_regressing_state() {
         let cell = Arc::new(EpochCell::new(Arc::new((0u64, 0u64))));
         let stop = Arc::new(AtomicBool::new(false));
+        // Readers and writer leave one barrier together, and every reader
+        // loads at least once before it looks at `stop` — on a host with
+        // fewer cores than threads the writer can otherwise finish before
+        // any reader is scheduled.
+        let start = Arc::new(std::sync::Barrier::new(5));
         let readers: Vec<_> = (0..4)
             .map(|_| {
                 let cell = Arc::clone(&cell);
                 let stop = Arc::clone(&stop);
+                let start = Arc::clone(&start);
                 std::thread::spawn(move || {
                     let mut last = 0u64;
                     let mut loads = 0u64;
-                    while !stop.load(Ordering::Relaxed) {
+                    start.wait();
+                    loop {
                         let snap = cell.load();
                         assert_eq!(snap.0, snap.1, "torn snapshot observed");
                         assert!(snap.0 >= last, "snapshot version regressed");
                         last = snap.0;
                         loads += 1;
+                        if stop.load(Ordering::Relaxed) {
+                            break loads;
+                        }
                     }
-                    loads
                 })
             })
             .collect();
+        start.wait();
         for v in 1..=2000u64 {
             cell.publish(Arc::new((v, v)));
         }

@@ -18,9 +18,8 @@ use relgraph_db2graph::GraphMapping;
 use relgraph_graph::{FeatureMatrix, HeteroGraph, NodeTypeId};
 use relgraph_store::Database;
 
-use crate::cache::Lru;
+use crate::cache::{L1Cache, Lru};
 use crate::error::{ServeError, ServeResult};
-use crate::quant::EmbeddingTier;
 
 /// A table that gained rows during an ingest, with enough context to diff
 /// its features pre/post delta.
@@ -276,14 +275,14 @@ impl PlanFilter {
 /// levels `d..=hops` for every dirty node, plus the tier-1 prediction for
 /// dirty entity nodes. Returns `(embeddings_evicted, predictions_evicted)`
 /// — counts of entries actually present, so idle shards report zeros.
-/// Works on any [`EmbeddingTier`]: invalidation is keyed by
+/// Works on any [`L1Cache`]: invalidation is keyed by
 /// `(type, node, level)` regardless of how the payload is encoded.
 pub fn evict_dirty(
     dirty: &[(usize, usize, usize)],
     hops: usize,
     entity_ty: usize,
     predictions: &mut Lru<usize, f64>,
-    embeddings: &mut EmbeddingTier,
+    embeddings: &mut dyn L1Cache,
 ) -> (u64, u64) {
     let mut emb = 0u64;
     let mut pred = 0u64;
@@ -331,22 +330,23 @@ mod tests {
 
     #[test]
     fn plan_filter_agrees_with_evict_dirty_on_every_level() {
-        use relgraph_gnn::{EmbeddingStore, Precision};
+        use crate::cache::EmbeddingCache;
+        use relgraph_gnn::EmbeddingStore;
         let hops = 2usize;
         let plan = precise(1, &[((0, 3), 1), ((1, 5), 0), ((0, 7), 2)]);
         let filter = PlanFilter::new(&plan);
         assert!(!filter.flushes());
-        let mut tier = EmbeddingTier::new(Precision::F64, 1024);
+        let mut tier = EmbeddingCache::new(1024);
         let mut predictions: Lru<usize, f64> = Lru::new(1024);
         let keys: Vec<(usize, usize, usize)> = (0..2)
             .flat_map(|ty| (0..8).flat_map(move |node| (0..=hops).map(move |l| (ty, node, l))))
             .collect();
         for &(ty, node, level) in &keys {
-            tier.as_f64_mut().put(ty, node, level, vec![1.0]);
+            tier.put(ty, node, level, vec![1.0]);
         }
         evict_dirty(&plan.dirty, hops, 0, &mut predictions, &mut tier);
         for &(ty, node, level) in &keys {
-            let held = tier.as_f64_mut().get(ty, node, level).is_some();
+            let held = tier.get(ty, node, level).is_some();
             assert_eq!(
                 held,
                 !filter.evicts(ty, node, level),

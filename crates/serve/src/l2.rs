@@ -52,16 +52,13 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use relgraph_gnn::{EmbeddingStore, EmbeddingStore32};
+use relgraph_gnn::EmbeddingStore;
 use relgraph_obs as obs;
 
-use crate::cache::EmbeddingCache;
+use crate::cache::{CachedRow, Key, RowCache};
 use crate::epoch::EpochCell;
 use crate::invalidate::{InvalidationPlan, PlanFilter};
-use crate::quant::{dequantize_row, quantize_row, QuantizedRow};
-
-/// Embedding-cache key: `(node type, node, level)`.
-type Key = (usize, usize, usize);
+use crate::quant::QuantizedRow;
 
 /// How many promotion segments a snapshot accumulates before the next
 /// publish compacts them into one map. Probes walk segments newest-first,
@@ -304,13 +301,18 @@ impl L2Tier {
     }
 }
 
-/// An [`EmbeddingStore`] layering a shard's `f64` L1 over an optional L2
-/// view for the duration of one scoring batch. Gets probe L1 then L2
-/// (refilling L1 on an L2 hit); puts go to L1 and are staged for
-/// promotion, which the shard offers via [`L2Tier::promote`] after the
-/// batch.
-pub struct TieredStore<'a> {
-    l1: &'a mut EmbeddingCache,
+/// An [`EmbeddingStore`] layering one L1 [`RowCache`] over an optional L2
+/// view for the duration of one scoring batch, in whatever form `R` holds
+/// rows. Gets probe L1 then L2 (refilling L1 on an L2 hit); puts go to L1
+/// and are staged for promotion, which the shard offers via
+/// [`L2Tier::promote`] after the batch.
+///
+/// Bit-exactness per mode: a row is encoded once and the *same* stored
+/// bytes go to L1 and to the staging list, and an L2 hit refills L1 with
+/// the stored bytes and decodes them — so an L2 hit returns precisely what
+/// a warm L1 hit on the same key would, quantized or not.
+pub struct TieredStore<'a, R> {
+    l1: &'a mut RowCache<R>,
     l2: Option<&'a L2Snapshot>,
     staged: Vec<(Key, L2Row)>,
     /// L1-miss lookups answered by the shared tier.
@@ -319,10 +321,10 @@ pub struct TieredStore<'a> {
     pub l2_misses: u64,
 }
 
-impl<'a> TieredStore<'a> {
+impl<'a, R: CachedRow> TieredStore<'a, R> {
     /// Layer `l1` over `l2` (pass `None` to bypass the shared tier, e.g.
-    /// on an epoch mismatch).
-    pub fn new(l1: &'a mut EmbeddingCache, l2: Option<&'a L2Snapshot>) -> Self {
+    /// on an epoch mismatch, or where there is none).
+    pub fn new(l1: &'a mut RowCache<R>, l2: Option<&'a L2Snapshot>) -> Self {
         TieredStore {
             l1,
             l2,
@@ -339,121 +341,44 @@ impl<'a> TieredStore<'a> {
     }
 }
 
-impl EmbeddingStore for TieredStore<'_> {
-    fn get(&mut self, ty: usize, node: usize, level: usize) -> Option<Vec<f64>> {
+impl<R: CachedRow> EmbeddingStore<R::Elem> for TieredStore<'_, R> {
+    fn get(&mut self, ty: usize, node: usize, level: usize) -> Option<Vec<R::Elem>> {
         if let Some(row) = self.l1.get(ty, node, level) {
             return Some(row);
         }
         let l2 = self.l2?;
-        match l2.get(&(ty, node, level)) {
-            Some(L2Row::F64(row)) => {
+        match l2.get(&(ty, node, level)).and_then(R::from_l2) {
+            Some(stored) => {
                 self.l2_hits += 1;
                 // Refill the L1 so the rest of the batch hits locally.
-                self.l1.put(ty, node, level, row.clone());
-                Some(row.clone())
+                self.l1.insert((ty, node, level), stored.clone());
+                Some(stored.decode())
             }
-            _ => {
+            None => {
                 self.l2_misses += 1;
                 None
             }
         }
     }
 
-    fn put(&mut self, ty: usize, node: usize, level: usize, emb: Vec<f64>) {
+    fn put(&mut self, ty: usize, node: usize, level: usize, emb: Vec<R::Elem>) {
+        let stored = R::encode(emb);
         if self.l2.is_some() {
             self.staged
-                .push(((ty, node, level), L2Row::F64(emb.clone())));
+                .push(((ty, node, level), stored.clone().into_l2()));
         }
-        self.l1.put(ty, node, level, emb);
-    }
-}
-
-/// The `f32`/`q8` counterpart of [`TieredStore`]: layers a shard's
-/// [`EmbeddingStore32`] L1 over an optional L2 view.
-///
-/// Bit-exactness per mode: in `f32`, hits clone the exact stored row; in
-/// `q8`, puts stage `quantize_row(raw)` — the same bytes the L1 encodes
-/// — and hits dequantize them, so an L2 hit returns precisely what a
-/// warm L1 hit on the same key would. `canonicalize` delegates to the
-/// L1, preserving the quantized tier's memoization grid.
-pub struct TieredStore32<'a> {
-    l1: &'a mut dyn EmbeddingStore32,
-    l2: Option<&'a L2Snapshot>,
-    quantized: bool,
-    staged: Vec<(Key, L2Row)>,
-    /// L1-miss lookups answered by the shared tier.
-    pub l2_hits: u64,
-    /// L1-miss lookups the shared tier missed too.
-    pub l2_misses: u64,
-}
-
-impl<'a> TieredStore32<'a> {
-    /// Layer `l1` over `l2`. `quantized` selects the staged encoding —
-    /// it must match the L1's (true for the `q8` tier).
-    pub fn new(
-        l1: &'a mut dyn EmbeddingStore32,
-        l2: Option<&'a L2Snapshot>,
-        quantized: bool,
-    ) -> Self {
-        TieredStore32 {
-            l1,
-            l2,
-            quantized,
-            staged: Vec::new(),
-            l2_hits: 0,
-            l2_misses: 0,
-        }
+        self.l1.insert((ty, node, level), stored);
     }
 
-    /// Rows computed this batch, for [`L2Tier::promote`].
-    pub fn into_staged(self) -> Vec<(Key, L2Row)> {
-        self.staged
-    }
-}
-
-impl EmbeddingStore32 for TieredStore32<'_> {
-    fn get(&mut self, ty: usize, node: usize, level: usize) -> Option<Vec<f32>> {
-        if let Some(row) = self.l1.get(ty, node, level) {
-            return Some(row);
-        }
-        let l2 = self.l2?;
-        let row = match l2.get(&(ty, node, level)) {
-            Some(L2Row::F32(row)) => row.clone(),
-            Some(L2Row::Q8(q)) => dequantize_row(q),
-            _ => {
-                self.l2_misses += 1;
-                return None;
-            }
-        };
-        self.l2_hits += 1;
-        // Refill the L1. In q8 this re-quantizes an already-quantized
-        // row; dequantize∘quantize is idempotent (proptested in `quant`),
-        // so the refilled entry's bits match the original warm entry.
-        self.l1.put(ty, node, level, row.clone());
-        Some(row)
-    }
-
-    fn put(&mut self, ty: usize, node: usize, level: usize, emb: Vec<f32>) {
-        if self.l2.is_some() {
-            let row = if self.quantized {
-                L2Row::Q8(quantize_row(&emb))
-            } else {
-                L2Row::F32(emb.clone())
-            };
-            self.staged.push(((ty, node, level), row));
-        }
-        self.l1.put(ty, node, level, emb);
-    }
-
-    fn canonicalize(&self, emb: Vec<f32>) -> Vec<f32> {
-        self.l1.canonicalize(emb)
+    fn canonicalize(&self, emb: Vec<R::Elem>) -> Vec<R::Elem> {
+        R::canonicalize(emb)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::quant::{EmbeddingCache32, QuantizedEmbeddingCache};
+    use crate::cache::{EmbeddingCache, EmbeddingCache32, QuantizedEmbeddingCache};
 
     fn rows(n: usize) -> Vec<(Key, L2Row)> {
         (0..n)
@@ -582,14 +507,14 @@ mod tests {
         let tier = L2Tier::new(64);
         let snap0 = tier.load();
         let mut l1a = QuantizedEmbeddingCache::new(16);
-        let mut store_a = TieredStore32::new(&mut l1a, Some(&snap0), true);
+        let mut store_a = TieredStore::new(&mut l1a, Some(&snap0));
         store_a.put(0, 1, 1, raw.clone());
         tier.promote(0, store_a.into_staged());
 
         // Shard B reads the promoted row: bits must match the warm hit.
         let snap = tier.load();
         let mut l1b = QuantizedEmbeddingCache::new(16);
-        let mut store_b = TieredStore32::new(&mut l1b, Some(&snap), true);
+        let mut store_b = TieredStore::new(&mut l1b, Some(&snap));
         let got = store_b.get(0, 1, 1).unwrap();
         assert_eq!(
             got.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
@@ -610,13 +535,13 @@ mod tests {
         let tier = L2Tier::new(64);
         let snap0 = tier.load();
         let mut l1a = EmbeddingCache32::new(16);
-        let mut store_a = TieredStore32::new(&mut l1a, Some(&snap0), false);
+        let mut store_a = TieredStore::new(&mut l1a, Some(&snap0));
         store_a.put(0, 3, 2, vec![1.5f32, -0.25]);
         tier.promote(0, store_a.into_staged());
 
         let snap = tier.load();
         let mut l1b = EmbeddingCache32::new(16);
-        let mut store_b = TieredStore32::new(&mut l1b, Some(&snap), false);
+        let mut store_b = TieredStore::new(&mut l1b, Some(&snap));
         assert_eq!(store_b.get(0, 3, 2), Some(vec![1.5f32, -0.25]));
     }
 

@@ -13,12 +13,14 @@
 //! * [`batcher`] — [`MicroBatcher`]: size- and deadline-bounded request
 //!   coalescing, feeding the deduplicating batch inference path in
 //!   `relgraph-gnn`;
-//! * [`cache`] — the bounded [`Lru`] both tiers are built from, plus
-//!   [`CacheStats`] accounting surfaced in run reports;
+//! * [`cache`] — the bounded [`Lru`] both tiers are built from, the one
+//!   generic embedding cache ([`RowCache`], parameterised by row codec),
+//!   plus [`CacheStats`] accounting surfaced in run reports;
 //! * [`protocol`] — the `relgraph serve` JSONL wire format;
-//! * [`quant`] — reduced-precision embedding tiers ([`EmbeddingTier`]):
-//!   `f32` and 8-bit quantized rows backing the `--precision f32|q8`
-//!   serving modes, with a tolerance story spelled out in `DESIGN.md` §15;
+//! * [`quant`] — the 8-bit row codec and the [`EmbeddingTier`] (a model
+//!   view and its L1 row cache, paired in one precision when an engine or
+//!   shard is built) backing the `--precision f64|f32|q8` serving modes,
+//!   with a tolerance story spelled out in `DESIGN.md` §15;
 //! * [`sharded`] — [`ShardedEngine`]: the concurrent tier — per-core
 //!   cache shards draining fused job batches against epoch-swapped graph
 //!   snapshots ([`epoch`]), with one writer publishing deltas as
@@ -74,24 +76,23 @@ pub mod steal;
 
 pub use affinity::{pin_current_thread, PinOutcome};
 pub use batcher::MicroBatcher;
-pub use cache::{CacheStats, EmbeddingCache, Lru};
+pub use cache::{
+    CacheStats, CachedRow, EmbeddingCache, EmbeddingCache32, L1Cache, Lru, QuantizedEmbeddingCache,
+    RowCache,
+};
 pub use engine::{
-    predict_batch_cached, predict_batch_cached32, GroupIngestOutcome, IngestOutcome, ServeConfig,
-    ServeEngine,
+    predict_batch_cached, GroupIngestOutcome, IngestOutcome, ServeConfig, ServeEngine,
 };
 pub use epoch::EpochCell;
 pub use error::{ServeError, ServeResult};
 pub use invalidate::{InvalidationPlan, PlanFilter};
-pub use l2::{L2Row, L2Snapshot, L2Tier, TieredStore, TieredStore32};
+pub use l2::{L2Row, L2Snapshot, L2Tier, TieredStore};
 pub use persist::{
     load_model, save_engine, save_model, warm_engine, warm_sharded, warm_sharded_partial,
     ModelSnapshot, PartialWarmBoot, WarmBootReport,
 };
 pub use protocol::{parse_request, recover_id, response_err, response_ok, Request};
-pub use quant::{
-    dequantize_row, quantize_row, EmbeddingCache32, EmbeddingTier, QuantizedEmbeddingCache,
-    QuantizedRow,
-};
+pub use quant::{dequantize_row, quantize_row, EmbeddingTier, QuantizedRow};
 pub use server::{bind, handle_line, ServerListener};
 pub use sharded::{GraphSnapshot, ShardedEngine, PLAN_HISTORY};
 pub use steal::{Drain, InboxSet};

@@ -1,33 +1,33 @@
-//! Reduced-precision embedding tiers for the serving cache.
+//! Precision-specific embedding tiers for the serving cache.
 //!
-//! The engine's hop-ℓ embedding cache stores one `Vec<f64>` per
-//! `(type, node, level)` — 8 bytes per dimension. When the engine serves
-//! in a reduced [`Precision`], the same LRU slot budget buys far more
-//! resident entities:
+//! The hop-ℓ embedding cache stores one row per `(type, node, level)`.
+//! When the engine serves in a reduced [`Precision`], the same LRU slot
+//! budget buys far more resident entities: `f32` rows are half the bytes
+//! of `f64` rows, and 8-bit linearly quantized rows ([`QuantizedRow`]: one
+//! `u8` per dimension plus an 8-byte per-row `(scale, min)` header) are a
+//! 4–8× byte reduction depending on row width.
 //!
-//! * [`EmbeddingCache32`] stores `f32` rows (half the bytes);
-//! * [`QuantizedEmbeddingCache`] stores 8-bit linearly quantized rows
-//!   ([`QuantizedRow`]: one `u8` per dimension plus an 8-byte per-row
-//!   `(scale, min)` header) — a 4–8× byte reduction depending on row
-//!   width.
+//! Quantization is lossy, so [`QuantizedRow`]'s
+//! [`CachedRow::canonicalize`] is encode∘decode: the inference recursion
+//! consumes the *storable* value from the start, which is what makes warm
+//! (cache-hit) and cold (cache-miss) runs bit-identical. The round-trip
+//! error bound — at most `scale/2` plus one half-ulp of the reconstructed
+//! value — is stated in `DESIGN.md` §15 and enforced by the property tests
+//! below.
 //!
-//! Quantization is lossy, so the quantized tier implements
-//! [`EmbeddingStore32::canonicalize`] as encode∘decode: the inference
-//! recursion consumes the *storable* value from the start, which is what
-//! makes warm (cache-hit) and cold (cache-miss) runs bit-identical. The
-//! round-trip error bound — at most `scale/2` plus one half-ulp of the
-//! reconstructed value — is stated in `DESIGN.md` §15 and enforced by the
-//! property tests below.
-//!
-//! [`EmbeddingTier`] wraps the three stores behind one enum so the engine
-//! and the sharded shard loop can hold "whichever tier the precision mode
-//! calls for" without generics leaking into their signatures.
+//! [`EmbeddingTier`] is what an engine or shard holds: a model view and
+//! the L1 row cache it fills, paired in one precision behind an
+//! object-safe trait. [`embedding_tiers`] is the one place in the crate
+//! that matches on [`Precision`] — at construction, never per batch.
 
-use relgraph_gnn::{EmbeddingStore32, Precision};
+use std::sync::Arc;
 
-use crate::cache::{EmbeddingCache, Lru};
+use relgraph_gnn::{infer_nodes, InferModel, InferModel32, NodeModel, Precision};
+use relgraph_graph::{HeteroGraph, NodeTypeId};
+use relgraph_store::Timestamp;
 
-type Key = (usize, usize, usize);
+use crate::cache::{CacheStats, CachedRow, Key, L1Cache, RowCache};
+use crate::l2::{L2Row, L2Snapshot, TieredStore};
 
 /// One 8-bit linearly quantized embedding row.
 ///
@@ -108,269 +108,116 @@ pub fn dequantize_row(row: &QuantizedRow) -> Vec<f32> {
         .collect()
 }
 
-/// The `f32` embedding tier: an [`Lru`] keyed `(type, node, level)` that
-/// plugs into [`relgraph_gnn::predict_nodes_f32`] as its
-/// [`EmbeddingStore32`]. Storage is lossless, so `canonicalize` stays the
-/// identity default.
-pub struct EmbeddingCache32 {
-    lru: Lru<Key, Vec<f32>>,
-    /// Lookups answered from cache.
-    pub hits: u64,
-    /// Lookups that missed.
-    pub misses: u64,
-}
-
-impl EmbeddingCache32 {
-    /// An empty cache holding at most `cap` embeddings.
-    pub fn new(cap: usize) -> Self {
-        EmbeddingCache32 {
-            lru: Lru::new(cap),
-            hits: 0,
-            misses: 0,
+impl CachedRow for QuantizedRow {
+    type Elem = f32;
+    fn encode(row: Vec<f32>) -> Self {
+        quantize_row(&row)
+    }
+    fn decode(&self) -> Vec<f32> {
+        dequantize_row(self)
+    }
+    fn into_l2(self) -> L2Row {
+        L2Row::Q8(self)
+    }
+    fn from_l2(row: &L2Row) -> Option<&Self> {
+        match row {
+            L2Row::Q8(q) => Some(q),
+            _ => None,
         }
-    }
-
-    /// Number of cached embeddings.
-    pub fn len(&self) -> usize {
-        self.lru.len()
-    }
-
-    /// True when nothing is cached.
-    pub fn is_empty(&self) -> bool {
-        self.lru.is_empty()
-    }
-
-    /// Entries displaced by capacity pressure.
-    pub fn evictions(&self) -> u64 {
-        self.lru.evictions
-    }
-
-    /// Drop one `(type, node, level)` entry; true if it was present.
-    pub fn invalidate(&mut self, ty: usize, node: usize, level: usize) -> bool {
-        self.lru.remove(&(ty, node, level))
-    }
-
-    /// Drop everything (hit/miss counters survive).
-    pub fn clear(&mut self) {
-        self.lru.clear();
     }
 }
 
-impl EmbeddingStore32 for EmbeddingCache32 {
-    fn get(&mut self, ty: usize, node: usize, level: usize) -> Option<Vec<f32>> {
-        match self.lru.get(&(ty, node, level)) {
-            Some(emb) => {
-                self.hits += 1;
-                Some(emb.clone())
-            }
-            None => {
-                self.misses += 1;
-                None
-            }
-        }
+/// The precision-specific half of one cache slice: a model view and the
+/// L1 embedding cache it fills. Engine and shard code hold it boxed and
+/// never learn which precision is inside.
+pub trait EmbeddingTier: Send {
+    /// Score `rows` through the per-node walk against this tier's L1,
+    /// layered over the shared L2 view when one is given. Returns the
+    /// predictions and the rows computed this batch, staged for
+    /// [`L2Tier::promote`](crate::L2Tier::promote) (empty without an L2
+    /// view); L2 hit/miss counts are added to `stats`.
+    fn score(
+        &mut self,
+        graph: &HeteroGraph,
+        node_type: NodeTypeId,
+        anchor: Timestamp,
+        rows: &[usize],
+        l2: Option<&L2Snapshot>,
+        stats: &mut CacheStats,
+    ) -> (Vec<f64>, Vec<(Key, L2Row)>);
+
+    /// The L1 cache's bookkeeping surface (counters, invalidation).
+    fn l1(&mut self) -> &mut dyn L1Cache;
+}
+
+struct Tier<M, R> {
+    model: Arc<M>,
+    l1: RowCache<R>,
+}
+
+impl<M, R> EmbeddingTier for Tier<M, R>
+where
+    M: InferModel + Send + 'static,
+    R: CachedRow<Elem = M::Elem>,
+{
+    fn score(
+        &mut self,
+        graph: &HeteroGraph,
+        node_type: NodeTypeId,
+        anchor: Timestamp,
+        rows: &[usize],
+        l2: Option<&L2Snapshot>,
+        stats: &mut CacheStats,
+    ) -> (Vec<f64>, Vec<(Key, L2Row)>) {
+        let mut store = TieredStore::new(&mut self.l1, l2);
+        let preds = infer_nodes(&*self.model, graph, node_type, rows, anchor, &mut store);
+        stats.l2_hits += store.l2_hits;
+        stats.l2_misses += store.l2_misses;
+        (preds, store.into_staged())
     }
 
-    fn put(&mut self, ty: usize, node: usize, level: usize, emb: Vec<f32>) {
-        self.lru.insert((ty, node, level), emb);
+    fn l1(&mut self) -> &mut dyn L1Cache {
+        &mut self.l1
     }
 }
 
-/// The 8-bit quantized embedding tier: rows live as [`QuantizedRow`]s
-/// (~`dim + 8` bytes instead of `8·dim`), decoded on every hit.
-///
-/// `canonicalize` is encode∘decode, so the recursion only ever consumes
-/// values the cache can reproduce — warm and cold runs agree bitwise.
-pub struct QuantizedEmbeddingCache {
-    lru: Lru<Key, QuantizedRow>,
-    /// Lookups answered from cache.
-    pub hits: u64,
-    /// Lookups that missed.
-    pub misses: u64,
-}
-
-impl QuantizedEmbeddingCache {
-    /// An empty cache holding at most `cap` quantized rows.
-    pub fn new(cap: usize) -> Self {
-        QuantizedEmbeddingCache {
-            lru: Lru::new(cap),
-            hits: 0,
-            misses: 0,
-        }
+/// `n` empty tiers for `precision`, each holding at most `cap` rows and
+/// all sharing one model view (the reduced modes down-convert the weights
+/// once, here).
+pub fn embedding_tiers(
+    precision: Precision,
+    model: &Arc<NodeModel>,
+    cap: usize,
+    n: usize,
+) -> Vec<Box<dyn EmbeddingTier>> {
+    fn build<M, R>(model: Arc<M>, cap: usize, n: usize) -> Vec<Box<dyn EmbeddingTier>>
+    where
+        M: InferModel + Send + 'static,
+        R: CachedRow<Elem = M::Elem>,
+    {
+        (0..n)
+            .map(|_| {
+                Box::new(Tier {
+                    model: Arc::clone(&model),
+                    l1: RowCache::<R>::new(cap),
+                }) as Box<dyn EmbeddingTier>
+            })
+            .collect()
     }
-
-    /// Number of cached rows.
-    pub fn len(&self) -> usize {
-        self.lru.len()
-    }
-
-    /// True when nothing is cached.
-    pub fn is_empty(&self) -> bool {
-        self.lru.is_empty()
-    }
-
-    /// Entries displaced by capacity pressure.
-    pub fn evictions(&self) -> u64 {
-        self.lru.evictions
-    }
-
-    /// Drop one `(type, node, level)` entry; true if it was present.
-    pub fn invalidate(&mut self, ty: usize, node: usize, level: usize) -> bool {
-        self.lru.remove(&(ty, node, level))
-    }
-
-    /// Drop everything (hit/miss counters survive).
-    pub fn clear(&mut self) {
-        self.lru.clear();
-    }
-}
-
-impl EmbeddingStore32 for QuantizedEmbeddingCache {
-    fn get(&mut self, ty: usize, node: usize, level: usize) -> Option<Vec<f32>> {
-        match self.lru.get(&(ty, node, level)) {
-            Some(row) => {
-                self.hits += 1;
-                Some(dequantize_row(row))
-            }
-            None => {
-                self.misses += 1;
-                None
-            }
-        }
-    }
-
-    fn put(&mut self, ty: usize, node: usize, level: usize, emb: Vec<f32>) {
-        self.lru.insert((ty, node, level), quantize_row(&emb));
-    }
-
-    fn canonicalize(&self, emb: Vec<f32>) -> Vec<f32> {
-        dequantize_row(&quantize_row(&emb))
-    }
-}
-
-/// The embedding tier an engine (or shard) actually holds: one variant
-/// per serving [`Precision`]. Lookup/insert goes through the store traits
-/// ([`relgraph_gnn::EmbeddingStore`] for `F64`, [`EmbeddingStore32`]
-/// otherwise); this
-/// enum only carries the shared bookkeeping surface so `engine`/`sharded`
-/// code stays precision-agnostic.
-pub enum EmbeddingTier {
-    /// Full-precision rows (`Vec<f64>`), the default.
-    F64(EmbeddingCache),
-    /// Single-precision rows (`Vec<f32>`).
-    F32(EmbeddingCache32),
-    /// 8-bit quantized rows ([`QuantizedRow`]).
-    Q8(QuantizedEmbeddingCache),
-}
-
-impl EmbeddingTier {
-    /// An empty tier for `precision` holding at most `cap` rows.
-    pub fn new(precision: Precision, cap: usize) -> Self {
-        match precision {
-            Precision::F64 => EmbeddingTier::F64(EmbeddingCache::new(cap)),
-            Precision::F32 => EmbeddingTier::F32(EmbeddingCache32::new(cap)),
-            Precision::Q8 => EmbeddingTier::Q8(QuantizedEmbeddingCache::new(cap)),
-        }
-    }
-
-    /// The precision this tier serves.
-    pub fn precision(&self) -> Precision {
-        match self {
-            EmbeddingTier::F64(_) => Precision::F64,
-            EmbeddingTier::F32(_) => Precision::F32,
-            EmbeddingTier::Q8(_) => Precision::Q8,
-        }
-    }
-
-    /// Number of cached rows.
-    pub fn len(&self) -> usize {
-        match self {
-            EmbeddingTier::F64(c) => c.len(),
-            EmbeddingTier::F32(c) => c.len(),
-            EmbeddingTier::Q8(c) => c.len(),
-        }
-    }
-
-    /// True when nothing is cached.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Entries displaced by capacity pressure.
-    pub fn evictions(&self) -> u64 {
-        match self {
-            EmbeddingTier::F64(c) => c.evictions(),
-            EmbeddingTier::F32(c) => c.evictions(),
-            EmbeddingTier::Q8(c) => c.evictions(),
-        }
-    }
-
-    /// Lookups answered from cache.
-    pub fn hits(&self) -> u64 {
-        match self {
-            EmbeddingTier::F64(c) => c.hits,
-            EmbeddingTier::F32(c) => c.hits,
-            EmbeddingTier::Q8(c) => c.hits,
-        }
-    }
-
-    /// Lookups that missed.
-    pub fn misses(&self) -> u64 {
-        match self {
-            EmbeddingTier::F64(c) => c.misses,
-            EmbeddingTier::F32(c) => c.misses,
-            EmbeddingTier::Q8(c) => c.misses,
-        }
-    }
-
-    /// Drop one `(type, node, level)` entry; true if it was present.
-    pub fn invalidate(&mut self, ty: usize, node: usize, level: usize) -> bool {
-        match self {
-            EmbeddingTier::F64(c) => c.invalidate(ty, node, level),
-            EmbeddingTier::F32(c) => c.invalidate(ty, node, level),
-            EmbeddingTier::Q8(c) => c.invalidate(ty, node, level),
-        }
-    }
-
-    /// Drop everything (hit/miss counters survive).
-    pub fn clear(&mut self) {
-        match self {
-            EmbeddingTier::F64(c) => c.clear(),
-            EmbeddingTier::F32(c) => c.clear(),
-            EmbeddingTier::Q8(c) => c.clear(),
-        }
-    }
-
-    /// The `f64` store, for the full-precision predict path.
-    ///
-    /// # Panics
-    /// Panics if this tier is not [`EmbeddingTier::F64`] — the engine
-    /// routes by precision before reaching here.
-    pub fn as_f64_mut(&mut self) -> &mut EmbeddingCache {
-        match self {
-            EmbeddingTier::F64(c) => c,
-            _ => panic!("f64 predict path reached a reduced-precision tier"),
-        }
-    }
-
-    /// The reduced-precision store, for the `f32`/`q8` predict path.
-    ///
-    /// # Panics
-    /// Panics if this tier is [`EmbeddingTier::F64`].
-    pub fn as_store32_mut(&mut self) -> &mut dyn EmbeddingStore32 {
-        match self {
-            EmbeddingTier::F32(c) => c,
-            EmbeddingTier::Q8(c) => c,
-            EmbeddingTier::F64(_) => {
-                panic!("reduced-precision predict path reached the f64 tier")
-            }
-        }
+    let narrowed = || Arc::new(InferModel32::from_model(model));
+    match precision {
+        Precision::F64 => build::<_, Vec<f64>>(Arc::clone(model), cap, n),
+        Precision::F32 => build::<_, Vec<f32>>(narrowed(), cap, n),
+        Precision::Q8 => build::<_, QuantizedRow>(narrowed(), cap, n),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::{EmbeddingCache32, QuantizedEmbeddingCache};
     use proptest::prelude::*;
+    use relgraph_gnn::EmbeddingStore;
 
     /// The §15 reconstruction bound: half a quantization step, plus one
     /// half-ulp of the reconstructed magnitude for the final narrowing,
@@ -474,34 +321,6 @@ mod tests {
             bits(&canon),
             "warm get must equal canonicalize"
         );
-    }
-
-    #[test]
-    fn tier_routes_by_precision() {
-        for p in [Precision::F64, Precision::F32, Precision::Q8] {
-            let t = EmbeddingTier::new(p, 4);
-            assert_eq!(t.precision(), p);
-            assert!(t.is_empty());
-        }
-        let mut t = EmbeddingTier::new(Precision::Q8, 4);
-        t.as_store32_mut().put(0, 0, 0, vec![1.0, 2.0]);
-        assert_eq!(t.len(), 1);
-        assert!(t.invalidate(0, 0, 0));
-        assert!(t.is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "reduced-precision predict path")]
-    fn f64_tier_rejects_store32_access() {
-        let mut t = EmbeddingTier::new(Precision::F64, 4);
-        let _ = t.as_store32_mut();
-    }
-
-    #[test]
-    #[should_panic(expected = "f64 predict path")]
-    fn q8_tier_rejects_f64_access() {
-        let mut t = EmbeddingTier::new(Precision::Q8, 4);
-        let _ = t.as_f64_mut();
     }
 
     /// Strategy: rows mixing magnitudes from subnormal to huge.

@@ -8,7 +8,8 @@
 //!
 //! * **Shards** — `N` worker threads, each exclusively owning one slice of
 //!   the two-tier cache (a prediction [`Lru`] and an [`EmbeddingTier`]
-//!   matching the configured serving precision).
+//!   built for the configured serving precision when the tier is
+//!   assembled).
 //!   A shard drains its [`InboxSet`] inbox greedily (a lone job never
 //!   waits, a backlog fuses into one inference batch) and scores against
 //!   whatever graph snapshot it currently holds. Nothing a shard owns is shared, so
@@ -56,7 +57,7 @@ use std::thread::JoinHandle;
 use relgraph_db2graph::{
     build_graph, update_graph_snapshot, ConvertOptions, GraphCursor, GraphMapping,
 };
-use relgraph_gnn::{InferModel32, NodeModel, Precision};
+use relgraph_gnn::NodeModel;
 use relgraph_graph::{FeatureMatrix, HeteroGraph, NodeTypeId};
 use relgraph_obs as obs;
 use relgraph_pq::{ExecConfig, PreparedQuery};
@@ -64,14 +65,13 @@ use relgraph_store::{Database, IngestPolicy, RowBatch, Timestamp, Value};
 
 use crate::cache::{CacheStats, Lru};
 use crate::engine::{
-    deploy_anchor, predict_batch_cached, predict_batch_cached32, GroupIngestOutcome, IngestOutcome,
-    ServeConfig,
+    deploy_anchor, predict_batch_cached, GroupIngestOutcome, IngestOutcome, ServeConfig,
 };
 use crate::epoch::EpochCell;
 use crate::error::{ServeError, ServeResult};
 use crate::invalidate::{dirty_closure, evict_dirty, grown_tables, InvalidationPlan};
-use crate::l2::{L2Tier, TieredStore, TieredStore32};
-use crate::quant::EmbeddingTier;
+use crate::l2::L2Tier;
+use crate::quant::{embedding_tiers, EmbeddingTier};
 use crate::steal::InboxSet;
 
 /// How many invalidation plans a snapshot retains. A shard more than this
@@ -103,8 +103,6 @@ pub struct GraphSnapshot {
 /// Immutable state every thread of the tier shares.
 struct Shared {
     model: Arc<NodeModel>,
-    /// Weights down-converted once at assembly; `None` in `F64` mode.
-    model32: Option<Arc<InferModel32>>,
     node_type: NodeTypeId,
     entity_table: String,
     hops: usize,
@@ -277,13 +275,8 @@ impl ShardedEngine {
             anchor,
             plans: Vec::new(),
         };
-        let model32 = match cfg.precision {
-            Precision::F64 => None,
-            Precision::F32 | Precision::Q8 => Some(Arc::new(InferModel32::from_model(&model))),
-        };
         let shared = Arc::new(Shared {
             model,
-            model32,
             node_type,
             entity_table,
             hops,
@@ -297,15 +290,20 @@ impl ShardedEngine {
         let pred_cap = (shared.cfg.prediction_cache / shards).max(1);
         let emb_cap = (shared.cfg.embedding_cache / shards).max(1);
         let inboxes = Arc::new(InboxSet::new(shards, INBOX_CAP));
-        let handles = (0..shards)
-            .map(|i| {
+        // The one place the tier learns its precision: every shard gets a
+        // tier of that mode, all sharing one model view.
+        let tiers = embedding_tiers(shared.cfg.precision, &shared.model, emb_cap, shards);
+        let handles = tiers
+            .into_iter()
+            .enumerate()
+            .map(|(i, embeddings)| {
                 let stats = Arc::new(Mutex::new(CacheStats::default()));
                 let shared2 = Arc::clone(&shared);
                 let inboxes2 = Arc::clone(&inboxes);
                 let stats2 = Arc::clone(&stats);
                 let thread = std::thread::Builder::new()
                     .name(format!("serve-shard-{i}"))
-                    .spawn(move || shard_loop(i, shared2, inboxes2, stats2, pred_cap, emb_cap))
+                    .spawn(move || shard_loop(i, shared2, inboxes2, stats2, pred_cap, embeddings))
                     .expect("spawn shard worker");
                 ShardHandle {
                     stats,
@@ -656,7 +654,7 @@ fn shard_loop(
     inboxes: Arc<InboxSet<Job>>,
     stats_out: Arc<Mutex<CacheStats>>,
     pred_cap: usize,
-    emb_cap: usize,
+    mut embeddings: Box<dyn EmbeddingTier>,
 ) {
     if shared.cfg.affinity {
         // Placement hint only; a Failed/Unsupported outcome changes
@@ -666,11 +664,9 @@ fn shard_loop(
             obs::add("serve.affinity.pinned", 1);
         }
     }
-    let quantized = matches!(shared.cfg.precision, Precision::Q8);
     let mut snap = shared.cell.load();
     let mut local_epoch = snap.epoch;
     let mut predictions: Lru<usize, f64> = Lru::new(pred_cap);
-    let mut embeddings = EmbeddingTier::new(shared.cfg.precision, emb_cap);
     let mut stats = CacheStats::default();
     let requests_name = format!("serve.shard.{index}.requests");
     while let Some(drain) = inboxes.pop_batch(index, shared.cfg.max_batch) {
@@ -686,7 +682,7 @@ fn shard_loop(
                 &next,
                 local_epoch,
                 &mut predictions,
-                &mut embeddings,
+                embeddings.as_mut(),
                 &mut stats,
             );
             local_epoch = next.epoch;
@@ -706,49 +702,22 @@ fn shard_loop(
             rows.extend_from_slice(&job.rows);
             spans.push(job.rows.len());
         }
-        let preds = match &shared.model32 {
-            None => {
-                let mut store = TieredStore::new(embeddings.as_f64_mut(), l2);
-                let preds = predict_batch_cached(
-                    &shared.model,
-                    &snap.graph,
-                    shared.node_type,
-                    snap.anchor,
-                    &rows,
-                    &mut predictions,
-                    &mut store,
-                    &mut stats,
-                );
-                stats.l2_hits += store.l2_hits;
-                stats.l2_misses += store.l2_misses;
-                shared.l2.promote(local_epoch, store.into_staged());
-                preds
-            }
-            Some(m32) => {
-                let mut store = TieredStore32::new(embeddings.as_store32_mut(), l2, quantized);
-                let preds = predict_batch_cached32(
-                    m32,
-                    &snap.graph,
-                    shared.node_type,
-                    snap.anchor,
-                    &rows,
-                    &mut predictions,
-                    &mut store,
-                    &mut stats,
-                );
-                stats.l2_hits += store.l2_hits;
-                stats.l2_misses += store.l2_misses;
-                shared.l2.promote(local_epoch, store.into_staged());
-                preds
-            }
-        };
+        let (preds, staged) = predict_batch_cached(
+            &snap.graph,
+            shared.node_type,
+            snap.anchor,
+            &rows,
+            &mut predictions,
+            embeddings.as_mut(),
+            l2,
+            &mut stats,
+        );
+        shared.l2.promote(local_epoch, staged);
         // Publish stats BEFORE replying: a caller that reads
         // `ShardedEngine::stats()` right after a returned request must
         // see the counters that request produced, not race the sync.
         stats.prediction_evictions = predictions.evictions;
-        stats.embedding_hits = embeddings.hits();
-        stats.embedding_misses = embeddings.misses();
-        stats.embedding_evictions = embeddings.evictions();
+        embeddings.l1().report(&mut stats);
         *stats_out.lock().unwrap_or_else(|p| p.into_inner()) = stats;
         let mut offset = 0usize;
         for (job, span) in jobs.into_iter().zip(spans) {
@@ -771,7 +740,7 @@ fn catch_up(
     snap: &GraphSnapshot,
     local_epoch: u64,
     predictions: &mut Lru<usize, f64>,
-    embeddings: &mut EmbeddingTier,
+    embeddings: &mut dyn EmbeddingTier,
     stats: &mut CacheStats,
 ) {
     debug_assert!(snap.epoch > local_epoch);
@@ -779,7 +748,7 @@ fn catch_up(
     let retained_from = snap.plans.first().map(|p| p.epoch);
     if retained_from.is_none_or(|from| from > needed) {
         predictions.clear();
-        embeddings.clear();
+        embeddings.l1().clear();
         stats.flushes += 1;
         return;
     }
@@ -801,7 +770,7 @@ fn catch_up(
     }
     if plan.flush {
         predictions.clear();
-        embeddings.clear();
+        embeddings.l1().clear();
         stats.flushes += 1;
     } else {
         let (emb, pred) = evict_dirty(
@@ -809,7 +778,7 @@ fn catch_up(
             shared.hops,
             shared.node_type.0,
             predictions,
-            embeddings,
+            embeddings.l1(),
         );
         stats.invalidated_embeddings += emb;
         stats.invalidated_predictions += pred;
