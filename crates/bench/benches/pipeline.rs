@@ -1,13 +1,9 @@
 //! Micro-benchmarks for the data path: generation, graph compilation,
-//! temporal sampling, feature engineering and query compilation — plus the
-//! before/after hot-path snapshot written to `BENCH_pipeline.json`.
+//! temporal sampling, feature engineering, query compilation and ingest.
 //!
-//! Run with `cargo bench -p relgraph-bench --bench pipeline`. Set
-//! `RELGRAPH_QUICK=1` for a ~4× smaller smoke pass, and
-//! `RELGRAPH_BENCH_OUT` to redirect the JSON snapshot (default
-//! `BENCH_pipeline.json` in the working directory).
+//! Run with `cargo bench -p relgraph-bench --bench pipeline`.
 
-use criterion::{criterion_group, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use relgraph_baselines::{FeatureConfig, FeatureEngineer};
 use relgraph_datagen::{generate_ecommerce, EcommerceConfig};
 use relgraph_db2graph::{build_graph, ConvertOptions};
@@ -186,33 +182,4 @@ criterion_group!(
     bench_ingest
 );
 
-fn main() {
-    benches();
-    // Before/after snapshot of the parallel hot-path work, written with a
-    // stable schema so successive runs can be diffed.
-    // cargo bench runs from the package directory; default to the
-    // workspace root so the snapshot lands next to EXPERIMENTS.md.
-    let out = std::env::var("RELGRAPH_BENCH_OUT").unwrap_or_else(|_| {
-        concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_pipeline.json").to_string()
-    });
-    let quick = std::env::var("RELGRAPH_QUICK").is_ok_and(|v| v != "0");
-    let snap = relgraph_bench::write_snapshot(&out, quick).expect("write snapshot");
-    for s in &snap.sections {
-        println!(
-            "{:<12} {:>12.1} -> {:>12.1} {} ({:.2}x)",
-            s.name,
-            s.before,
-            s.after,
-            s.unit,
-            if s.before > 0.0 {
-                s.after / s.before
-            } else {
-                0.0
-            }
-        );
-    }
-    println!(
-        "end-to-end epoch speedup: {:.2}x -> {out}",
-        snap.end_to_end_speedup
-    );
-}
+criterion_main!(benches);

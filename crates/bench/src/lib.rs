@@ -19,12 +19,16 @@
 //! Run all with `for b in exp_…; do cargo run --release -p relgraph-bench --bin $b; done`
 //! or individually. Set `RELGRAPH_QUICK=1` to shrink workloads ~4× for a
 //! smoke pass.
+//!
+//! The crate also hosts the CI smoke tools (`tolerance_diff`,
+//! `serve_scale`, `scale_out_of_core`) and the criterion micro-benches
+//! under `benches/`. It is not where performance claims are made: those
+//! come from the `benchmark/` package at the repository root, parent
+//! build against change build.
 
-pub mod perf;
 pub mod report;
 pub mod tasks;
 
-pub use perf::{run_snapshot, write_snapshot, Snapshot};
 pub use report::Table;
 pub use tasks::{
     canonical_tasks, clinic_db, ecommerce_db, forum_db, is_quick, models_for, quick_scale,

@@ -354,124 +354,6 @@ impl<'g> TemporalSampler<'g> {
             })
             .collect()
     }
-
-    /// Reference implementation without the CSR index: visible neighbors
-    /// are found by a **linear scan over every edge of the edge type**, and
-    /// windowed degrees by linear counting. Semantically identical to
-    /// [`Self::sample`] (used by tests to cross-check and by benches as the
-    /// pre-index baseline); orders of magnitude slower on large graphs.
-    pub fn sample_scan_baseline(&self, seeds: &[Seed]) -> SampledSubgraph {
-        let g = self.graph;
-        let seed_type = seeds.first().map_or(NodeTypeId(0), |s| s.node_type);
-        assert!(
-            seeds.iter().all(|s| s.node_type == seed_type),
-            "all seeds in a batch must share one node type"
-        );
-        let mut nodes: Vec<Vec<usize>> = vec![Vec::new(); g.num_node_types()];
-        let mut anchors: Vec<Vec<i64>> = vec![Vec::new(); g.num_node_types()];
-        let mut edges: Vec<Vec<(u32, u32)>> = vec![Vec::new(); g.num_edge_types()];
-        let mut seed_locals = Vec::with_capacity(seeds.len());
-        let mut local: HashMap<(usize, usize), u32> = HashMap::new();
-        for seed in seeds {
-            local.clear();
-            let anchor = seed.time;
-            let intern = |ty: NodeTypeId,
-                          global: usize,
-                          nodes: &mut Vec<Vec<usize>>,
-                          anchors: &mut Vec<Vec<i64>>,
-                          local: &mut HashMap<(usize, usize), u32>|
-             -> u32 {
-                *local.entry((ty.0, global)).or_insert_with(|| {
-                    let l = nodes[ty.0].len() as u32;
-                    nodes[ty.0].push(global);
-                    anchors[ty.0].push(anchor);
-                    l
-                })
-            };
-            let seed_local = intern(seed_type, seed.node, &mut nodes, &mut anchors, &mut local);
-            seed_locals.push(seed_local as usize);
-            let mut frontier: Vec<(NodeTypeId, usize, u32)> =
-                vec![(seed_type, seed.node, seed_local)];
-            for &fanout in &self.config.fanouts {
-                let mut next = Vec::new();
-                for &(ty, global, src_local) in &frontier {
-                    for (et, edge_list) in edges.iter_mut().enumerate() {
-                        let meta = g.edge_type(EdgeTypeId(et));
-                        if meta.src != ty {
-                            continue;
-                        }
-                        // Pre-index behavior: scan the whole edge list.
-                        let visible: Vec<usize> = g
-                            .edges_of(EdgeTypeId(et))
-                            .filter(|&(s, _, t)| {
-                                s == global && (!self.config.temporal || t <= anchor)
-                            })
-                            .map(|(_, d, _)| d)
-                            .collect();
-                        let start = visible.len().saturating_sub(fanout);
-                        for &nbr in &visible[start..] {
-                            if self.config.temporal && g.node_time(meta.dst, nbr) > anchor {
-                                continue;
-                            }
-                            let known = local.contains_key(&(meta.dst.0, nbr));
-                            let dst_local =
-                                intern(meta.dst, nbr, &mut nodes, &mut anchors, &mut local);
-                            edge_list.push((src_local, dst_local));
-                            if !known {
-                                next.push((meta.dst, nbr, dst_local));
-                            }
-                        }
-                    }
-                }
-                frontier = next;
-                if frontier.is_empty() {
-                    break;
-                }
-            }
-        }
-        // Windowed degrees by linear counting over the full neighbor list.
-        let nw = DEGREE_WINDOWS_DAYS.len();
-        let mut degrees: Vec<Vec<Vec<u32>>> = Vec::with_capacity(g.num_node_types());
-        for t in 0..g.num_node_types() {
-            let mut per_node = Vec::with_capacity(nodes[t].len());
-            for (l, &global) in nodes[t].iter().enumerate() {
-                let anchor = anchors[t][l];
-                let mut degs = vec![0u32; g.num_edge_types() * nw];
-                if self.config.degree_features {
-                    for et in 0..g.num_edge_types() {
-                        if g.edge_type(EdgeTypeId(et)).src.0 != t {
-                            continue;
-                        }
-                        let (_, times) = g.neighbor_slices(EdgeTypeId(et), global);
-                        for (w, &days) in DEGREE_WINDOWS_DAYS.iter().enumerate() {
-                            let hi = if self.config.temporal {
-                                anchor
-                            } else {
-                                i64::MAX
-                            };
-                            let lo = if days == 0 {
-                                i64::MIN
-                            } else {
-                                hi.saturating_sub(days * SECONDS_PER_DAY)
-                            };
-                            degs[et * nw + w] =
-                                times.iter().filter(|&&x| x > lo && x <= hi).count() as u32;
-                        }
-                    }
-                }
-                per_node.push(degs);
-            }
-            degrees.push(per_node);
-        }
-        SampledSubgraph {
-            nodes,
-            anchors,
-            edges,
-            degrees,
-            seed_type,
-            seed_locals,
-        }
-    }
 }
 
 /// One seed's private block before merging.
@@ -513,6 +395,123 @@ mod tests {
             b.add_edge(of, order, product, t);
         }
         b.finish().unwrap()
+    }
+
+    /// Reference implementation without the CSR index: visible neighbors
+    /// are found by a **linear scan over every edge of the edge type**, and
+    /// windowed degrees by linear counting. Semantically identical to
+    /// [`TemporalSampler::sample`], which is checked against it.
+    fn sample_scan(sampler: &TemporalSampler, seeds: &[Seed]) -> SampledSubgraph {
+        let g = sampler.graph;
+        let seed_type = seeds.first().map_or(NodeTypeId(0), |s| s.node_type);
+        assert!(
+            seeds.iter().all(|s| s.node_type == seed_type),
+            "all seeds in a batch must share one node type"
+        );
+        let mut nodes: Vec<Vec<usize>> = vec![Vec::new(); g.num_node_types()];
+        let mut anchors: Vec<Vec<i64>> = vec![Vec::new(); g.num_node_types()];
+        let mut edges: Vec<Vec<(u32, u32)>> = vec![Vec::new(); g.num_edge_types()];
+        let mut seed_locals = Vec::with_capacity(seeds.len());
+        let mut local: HashMap<(usize, usize), u32> = HashMap::new();
+        for seed in seeds {
+            local.clear();
+            let anchor = seed.time;
+            let intern = |ty: NodeTypeId,
+                          global: usize,
+                          nodes: &mut Vec<Vec<usize>>,
+                          anchors: &mut Vec<Vec<i64>>,
+                          local: &mut HashMap<(usize, usize), u32>|
+             -> u32 {
+                *local.entry((ty.0, global)).or_insert_with(|| {
+                    let l = nodes[ty.0].len() as u32;
+                    nodes[ty.0].push(global);
+                    anchors[ty.0].push(anchor);
+                    l
+                })
+            };
+            let seed_local = intern(seed_type, seed.node, &mut nodes, &mut anchors, &mut local);
+            seed_locals.push(seed_local as usize);
+            let mut frontier: Vec<(NodeTypeId, usize, u32)> =
+                vec![(seed_type, seed.node, seed_local)];
+            for &fanout in &sampler.config.fanouts {
+                let mut next = Vec::new();
+                for &(ty, global, src_local) in &frontier {
+                    for (et, edge_list) in edges.iter_mut().enumerate() {
+                        let meta = g.edge_type(EdgeTypeId(et));
+                        if meta.src != ty {
+                            continue;
+                        }
+                        // Pre-index behavior: scan the whole edge list.
+                        let visible: Vec<usize> = g
+                            .edges_of(EdgeTypeId(et))
+                            .filter(|&(s, _, t)| {
+                                s == global && (!sampler.config.temporal || t <= anchor)
+                            })
+                            .map(|(_, d, _)| d)
+                            .collect();
+                        let start = visible.len().saturating_sub(fanout);
+                        for &nbr in &visible[start..] {
+                            if sampler.config.temporal && g.node_time(meta.dst, nbr) > anchor {
+                                continue;
+                            }
+                            let known = local.contains_key(&(meta.dst.0, nbr));
+                            let dst_local =
+                                intern(meta.dst, nbr, &mut nodes, &mut anchors, &mut local);
+                            edge_list.push((src_local, dst_local));
+                            if !known {
+                                next.push((meta.dst, nbr, dst_local));
+                            }
+                        }
+                    }
+                }
+                frontier = next;
+                if frontier.is_empty() {
+                    break;
+                }
+            }
+        }
+        // Windowed degrees by linear counting over the full neighbor list.
+        let nw = DEGREE_WINDOWS_DAYS.len();
+        let mut degrees: Vec<Vec<Vec<u32>>> = Vec::with_capacity(g.num_node_types());
+        for t in 0..g.num_node_types() {
+            let mut per_node = Vec::with_capacity(nodes[t].len());
+            for (l, &global) in nodes[t].iter().enumerate() {
+                let anchor = anchors[t][l];
+                let mut degs = vec![0u32; g.num_edge_types() * nw];
+                if sampler.config.degree_features {
+                    for et in 0..g.num_edge_types() {
+                        if g.edge_type(EdgeTypeId(et)).src.0 != t {
+                            continue;
+                        }
+                        let (_, times) = g.neighbor_slices(EdgeTypeId(et), global);
+                        for (w, &days) in DEGREE_WINDOWS_DAYS.iter().enumerate() {
+                            let hi = if sampler.config.temporal {
+                                anchor
+                            } else {
+                                i64::MAX
+                            };
+                            let lo = if days == 0 {
+                                i64::MIN
+                            } else {
+                                hi.saturating_sub(days * SECONDS_PER_DAY)
+                            };
+                            degs[et * nw + w] =
+                                times.iter().filter(|&&x| x > lo && x <= hi).count() as u32;
+                        }
+                    }
+                }
+                per_node.push(degs);
+            }
+            degrees.push(per_node);
+        }
+        SampledSubgraph {
+            nodes,
+            anchors,
+            edges,
+            degrees,
+            seed_type,
+            seed_locals,
+        }
     }
 
     fn seed(node: usize, time: i64) -> Seed {
@@ -622,7 +621,7 @@ mod tests {
     }
 
     #[test]
-    fn scan_baseline_matches_indexed_sampler() {
+    fn indexed_sampler_matches_scan_oracle() {
         let g = demo();
         for config in [
             SamplerConfig::new(vec![10, 10]),
@@ -638,7 +637,7 @@ mod tests {
                     .enumerate()
                     .map(|(i, &t)| seed(i % 2, t))
                     .collect();
-                assert_eq!(s.sample(&seeds), s.sample_scan_baseline(&seeds));
+                assert_eq!(s.sample(&seeds), sample_scan(&s, &seeds));
             }
         }
     }

@@ -51,16 +51,6 @@ impl QuantizedRow {
     }
 }
 
-/// Bytes an embedding row of width `dim` occupies in the quantized tier.
-pub fn q8_row_bytes(dim: usize) -> usize {
-    dim + 2 * std::mem::size_of::<f32>()
-}
-
-/// Bytes an embedding row of width `dim` occupies in the `f64` tier.
-pub fn f64_row_bytes(dim: usize) -> usize {
-    dim * std::mem::size_of::<f64>()
-}
-
 /// Quantize a row to 8-bit codes over its own `[min, max]` range.
 ///
 /// The scale is computed in `f64` (`(max − min) / 255` overflows to
@@ -292,14 +282,14 @@ mod tests {
 
     #[test]
     fn row_byte_accounting_matches_layout() {
-        let q = quantize_row(&[1.0, 2.0, 3.0]);
-        assert_eq!(q.bytes(), q8_row_bytes(3));
-        assert_eq!(q8_row_bytes(8), 16);
-        assert_eq!(f64_row_bytes(8), 64);
+        let q8_bytes = |dim: usize| quantize_row(&vec![0.5; dim]).bytes();
+        let f64_bytes = |dim: usize| dim * std::mem::size_of::<f64>();
+        assert_eq!(q8_bytes(3), 3 + 8);
+        assert_eq!(q8_bytes(8), 16);
         // The issue's ≥4× claim at dim 8: 64 / 16 = 4.0 exactly; wider
         // rows only improve it.
-        assert!(f64_row_bytes(8) / q8_row_bytes(8) >= 4);
-        assert!(f64_row_bytes(32) as f64 / q8_row_bytes(32) as f64 > 6.0);
+        assert!(f64_bytes(8) / q8_bytes(8) >= 4);
+        assert!(f64_bytes(32) as f64 / q8_bytes(32) as f64 > 6.0);
     }
 
     #[test]

@@ -45,4 +45,4 @@ pub use kernels32::{
     stable_sigmoid_f32,
 };
 pub use tape::{Graph, Op, Var};
-pub use tensor::{set_baseline_matmul, Tensor};
+pub use tensor::Tensor;

@@ -22,21 +22,6 @@ use rayon::prelude::*;
 
 use crate::kernels::{self, ActKind};
 
-/// Benchmark hook: when set, every matmul variant routes through the
-/// pre-optimization path (serial naive ikj kernel, transposes materialized,
-/// fused epilogues split into separate passes) so the pipeline bench can
-/// measure before/after in a single run.
-static BASELINE_MATMUL: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new(false);
-
-/// Toggle the pre-optimization matmul path (benchmarks only; thread-global).
-pub fn set_baseline_matmul(on: bool) {
-    BASELINE_MATMUL.store(on, std::sync::atomic::Ordering::Relaxed);
-}
-
-pub(crate) fn baseline_matmul() -> bool {
-    BASELINE_MATMUL.load(std::sync::atomic::Ordering::Relaxed)
-}
-
 /// Below this many multiply-adds, `matmul` falls back to the naive serial
 /// kernel: register blocking and the runtime feature-dispatch indirection
 /// cost more than the multiplication itself at these sizes.
@@ -270,11 +255,10 @@ impl Tensor {
         if m * n == 0 {
             return;
         }
-        if baseline_matmul() || m * n * kd < NAIVE_FLOPS_THRESHOLD {
-            // Small-product fallback (and the benchmark baseline path):
-            // naive matmul, then bias/activation as separate passes — the
-            // exact unfused composition, so fused results never depend on
-            // which dispatch branch ran.
+        if m * n * kd < NAIVE_FLOPS_THRESHOLD {
+            // Small-product fallback: naive matmul, then bias/activation
+            // as separate passes — the exact unfused composition, so fused
+            // results never depend on which dispatch branch ran.
             relgraph_obs::add("tensor.matmul.naive_calls", 1);
             self.naive_into(rhs, out);
             match (bias, act) {
@@ -315,8 +299,7 @@ impl Tensor {
     }
 
     /// Reference matmul: the plain serial ikj loop. Kept public as the
-    /// ground truth for property tests and the pre-optimization baseline in
-    /// benchmarks.
+    /// ground truth for property tests.
     pub fn matmul_naive(&self, rhs: &Tensor) -> Tensor {
         assert_eq!(self.cols, rhs.rows, "matmul inner dimensions must agree");
         let mut out = Tensor::zeros(self.rows, rhs.cols);
@@ -362,10 +345,6 @@ impl Tensor {
             relgraph_obs::add("tensor.matmul.calls", 1);
             relgraph_obs::add("tensor.matmul.flops", 2 * (m * n * kd) as u64);
         }
-        if baseline_matmul() {
-            *out = self.matmul_naive(&rhs.transpose());
-            return;
-        }
         if m * n == 0 {
             return;
         }
@@ -407,10 +386,6 @@ impl Tensor {
         if relgraph_obs::enabled() {
             relgraph_obs::add("tensor.matmul.calls", 1);
             relgraph_obs::add("tensor.matmul.flops", 2 * (kd * n * m) as u64);
-        }
-        if baseline_matmul() {
-            *out = self.transpose().matmul_naive(rhs);
-            return;
         }
         if n == 0 || kd == 0 {
             return;

@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 use relgraph_tensor::gradcheck::check_gradient;
-use relgraph_tensor::{set_baseline_matmul, Graph, Tensor};
+use relgraph_tensor::{Graph, Tensor};
 
 fn small_tensor() -> impl Strategy<Value = Tensor> {
     (1usize..5, 1usize..5).prop_flat_map(|(r, c)| {
@@ -145,25 +145,22 @@ proptest! {
     }
 
     #[test]
-    fn fused_backward_matches_baseline_backward((a, b) in matmul_pair()) {
+    fn fused_backward_matches_naive_oracle((a, b) in matmul_pair()) {
         // Gradients through the fused backward (matmul_nt / matmul_tn, no
-        // materialized transposes) vs the pre-optimization path.
-        let run = |baseline: bool| {
-            set_baseline_matmul(baseline);
-            let mut g = Graph::new();
-            let x = g.leaf(a.clone());
-            let w = g.leaf(b.clone());
-            let y = g.matmul(x, w);
-            let l = g.sum_all(y);
-            g.backward(l).unwrap();
-            let out = (g.grad(x).unwrap().clone(), g.grad(w).unwrap().clone());
-            set_baseline_matmul(false);
-            out
-        };
-        let (dx_new, dw_new) = run(false);
-        let (dx_old, dw_old) = run(true);
-        prop_assert!(max_abs_diff(&dx_new, &dx_old) <= 1e-10);
-        prop_assert!(max_abs_diff(&dw_new, &dw_old) <= 1e-10);
+        // materialized transposes) vs the textbook formulas on the naive
+        // kernel: for y = a·b, dx = dy·bᵀ and dw = aᵀ·dy.
+        let mut g = Graph::new();
+        let x = g.leaf(a.clone());
+        let w = g.leaf(b.clone());
+        let y = g.matmul(x, w);
+        let l = g.sum_all(y);
+        g.backward(l).unwrap();
+        // The seed gradient of sum_all is all ones.
+        let dy = Tensor::full(a.rows(), b.cols(), 1.0);
+        let dx = dy.matmul_naive(&b.transpose());
+        let dw = a.transpose().matmul_naive(&dy);
+        prop_assert!(max_abs_diff(g.grad(x).unwrap(), &dx) <= 1e-10);
+        prop_assert!(max_abs_diff(g.grad(w).unwrap(), &dw) <= 1e-10);
     }
 
     #[test]
