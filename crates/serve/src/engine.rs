@@ -50,13 +50,12 @@ use crate::invalidate::{dirty_closure, evict_dirty, grown_tables, TableGrowth};
 use crate::l2::{L2Row, L2Snapshot};
 use crate::quant::{embedding_tiers, EmbeddingTier};
 
-/// Serving knobs: batch bounds and cache capacities.
+/// Serving knobs: the batch bound and cache capacities.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// Most requests fused into one inference batch.
+    /// Most request lines one front-end burst fuses into one engine call,
+    /// and most jobs a shard worker drains into one inference batch.
     pub max_batch: usize,
-    /// Longest a batch waits for co-travellers after its first request.
-    pub batch_deadline: std::time::Duration,
     /// Capacity of the final-prediction tier (entries).
     pub prediction_cache: usize,
     /// Capacity of the node-embedding tier (entries).
@@ -88,7 +87,6 @@ impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
             max_batch: 32,
-            batch_deadline: std::time::Duration::from_millis(5),
             prediction_cache: 4096,
             embedding_cache: 65536,
             precision: Precision::F64,

@@ -18,11 +18,16 @@
 //! load ([`EpochCell::epoch`]); the slot lock is touched only when the
 //! epoch actually moved.
 //!
-//! A reader that stalls long enough for the writer to lap it twice simply
-//! observes an even newer snapshot — snapshots are immutable once
-//! published, so every load is a fully consistent version; there is no
-//! torn state to observe (asserted under load by the tests below and by
-//! the concurrency battery in `crates/serve/tests/sharded.rs`).
+//! A reader that stalls between its epoch load and its slot clone can be
+//! lapped: the writer may refill that very slot for epoch `e+2` before
+//! storing `e+2`, so the clone would hand out a version the cell does not
+//! yet publish, and the reader's next load would step back to `e+1`.
+//! [`EpochCell::load`] therefore re-reads the epoch after the clone and
+//! retries if it moved: a slot can only be refilled after the writer has
+//! stored the epoch in between, so an unchanged epoch proves the clone is
+//! the snapshot published at it. Every load is a published version, and
+//! one reader's loads never go backwards (asserted under load by the tests
+//! below and by the concurrency battery in `crates/serve/tests/sharded.rs`).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
@@ -49,15 +54,24 @@ impl<T> EpochCell<T> {
         self.epoch.load(Ordering::Acquire)
     }
 
-    /// The current snapshot (possibly newer than [`epoch`](Self::epoch)
-    /// just returned, never older). Touches a slot lock only long enough
-    /// to clone the `Arc`.
+    /// The current snapshot: the one published at an epoch at least
+    /// [`epoch`](Self::epoch) just returned, and never older than what an
+    /// earlier `load` returned. Touches a slot lock only long enough to
+    /// clone the `Arc`; retries only when a publish landed during the
+    /// clone.
     pub fn load(&self) -> Arc<T> {
-        let e = self.epoch.load(Ordering::Acquire);
-        self.slots[(e & 1) as usize]
-            .read()
-            .unwrap_or_else(|p| p.into_inner())
-            .clone()
+        loop {
+            let e = self.epoch.load(Ordering::Acquire);
+            #[cfg(test)]
+            tests::between_epoch_and_clone();
+            let snap = self.slots[(e & 1) as usize]
+                .read()
+                .unwrap_or_else(|p| p.into_inner())
+                .clone();
+            if self.epoch.load(Ordering::Acquire) == e {
+                return snap;
+            }
+        }
     }
 
     /// Publish `next` as the new current snapshot and return its epoch.
@@ -80,7 +94,44 @@ impl<T> EpochCell<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::RefCell;
     use std::sync::atomic::AtomicBool;
+
+    thread_local! {
+        /// Run once, on this thread, between a `load`'s epoch read and its
+        /// slot clone: stands in for a reader descheduled there.
+        static PAUSE: RefCell<Option<Box<dyn FnOnce()>>> = const { RefCell::new(None) };
+    }
+
+    pub(super) fn between_epoch_and_clone() {
+        if let Some(hook) = PAUSE.with(|p| p.borrow_mut().take()) {
+            hook();
+        }
+    }
+
+    /// The lapped reader, step by step: it reads epoch 1, then (paused)
+    /// the writer publishes 2 and fills slot 1 for 3 without yet storing
+    /// the epoch. The clone sees the unpublished 3; the load must not
+    /// return it, or the next load would step back to 2.
+    #[test]
+    fn lapped_reader_never_runs_ahead_of_publish() {
+        let cell = Arc::new(EpochCell::new(Arc::new(0u64)));
+        cell.publish(Arc::new(1));
+        let writer = Arc::clone(&cell);
+        PAUSE.with(|p| {
+            *p.borrow_mut() = Some(Box::new(move || {
+                writer.publish(Arc::new(2));
+                // Publish 3 stopped between its slot write and its store.
+                *writer.slots[1].write().unwrap() = Arc::new(3);
+            }))
+        });
+        let first = *cell.load();
+        let second = *cell.load();
+        assert_eq!(cell.epoch(), 2);
+        assert_eq!((first, second), (2, 2), "a load ran ahead of publish");
+        cell.epoch.store(3, Ordering::Release); // publish 3 completes
+        assert_eq!(*cell.load(), 3);
+    }
 
     #[test]
     fn load_returns_latest_publish() {

@@ -10,9 +10,6 @@
 //!   invalidation**: each ingested batch marks exactly the nodes whose
 //!   inputs changed and evicts cached state within k hops of them, so
 //!   cache-warm predictions stay bit-identical to a cold rebuild;
-//! * [`batcher`] — [`MicroBatcher`]: size- and deadline-bounded request
-//!   coalescing, feeding the deduplicating batch inference path in
-//!   `relgraph-gnn`;
 //! * [`cache`] — the bounded [`Lru`] both tiers are built from, the one
 //!   generic embedding cache ([`RowCache`], parameterised by row codec),
 //!   plus [`CacheStats`] accounting surfaced in run reports;
@@ -36,8 +33,10 @@
 //! * [`affinity`] — vendored `sched_setaffinity` shim behind the
 //!   `--affinity` flag: pin each shard thread (and so its caches and
 //!   inbox) to one core; graceful no-op off Linux;
-//! * [`server`] — the TCP/Unix-socket JSONL front-end over the sharded
-//!   tier, one handler thread per connection.
+//! * [`server`] — the JSONL front-end over the sharded tier, shared by
+//!   stdin and TCP/Unix sockets ([`serve_stream`]): greedy burst framing,
+//!   so every complete line already read goes through one engine call and
+//!   its responses out in one write; one handler thread per connection.
 //!
 //! ## Example
 //!
@@ -60,7 +59,6 @@
 #![warn(missing_docs)]
 
 pub mod affinity;
-pub mod batcher;
 pub mod cache;
 pub mod engine;
 pub mod epoch;
@@ -75,7 +73,6 @@ pub mod sharded;
 pub mod steal;
 
 pub use affinity::{pin_current_thread, PinOutcome};
-pub use batcher::MicroBatcher;
 pub use cache::{
     CacheStats, CachedRow, EmbeddingCache, EmbeddingCache32, L1Cache, Lru, QuantizedEmbeddingCache,
     RowCache,
@@ -93,6 +90,6 @@ pub use persist::{
 };
 pub use protocol::{parse_request, recover_id, response_err, response_ok, Request};
 pub use quant::{dequantize_row, quantize_row, EmbeddingTier, QuantizedRow};
-pub use server::{bind, handle_line, ServerListener};
+pub use server::{bind, handle_line, serve_stream, ServerListener};
 pub use sharded::{GraphSnapshot, ShardedEngine, PLAN_HISTORY};
 pub use steal::{Drain, InboxSet};

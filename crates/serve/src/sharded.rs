@@ -334,6 +334,13 @@ impl ShardedEngine {
         self.shards.len()
     }
 
+    /// Most request lines one front-end burst carries into one
+    /// [`predict_batch_keys`](Self::predict_batch_keys) call
+    /// (`cfg.max_batch`, at least 1).
+    pub(crate) fn max_batch(&self) -> usize {
+        self.shared.cfg.max_batch.max(1)
+    }
+
     /// Test-split metrics from the fitting run (empty when built via
     /// [`from_fitted`](Self::from_fitted) without them).
     pub fn fit_metrics(&self) -> &[(String, f64)] {

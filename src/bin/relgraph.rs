@@ -45,8 +45,8 @@
 //! predictions.
 //!
 //! SERVE OPTIONS (relgraph serve …):
-//!   --max-batch <N>     most requests fused into one inference batch (default 32)
-//!   --deadline-ms <N>   micro-batch deadline in milliseconds (default 5)
+//!   --max-batch <N>     most request lines one burst fuses into one engine
+//!                       call (default 32)
 //!   --pred-cache <N>    prediction-cache capacity, split across shards (default 4096)
 //!   --emb-cache <N>     embedding-cache capacity, split across shards (default 65536)
 //!   --shards <N>        engine shards / worker threads (default 1)
@@ -62,13 +62,15 @@
 //! `relgraph serve` trains the query's GNN model once, then reads one JSON
 //! request per stdin line (`{"id": 7, "entity": 1042}`) and answers each
 //! with one JSON response line (`{"id": 7, "prediction": 0.83}` or
-//! `{"id": 7, "error": "…"}`). Requests are micro-batched, scattered
-//! across per-core engine shards (each owning a slice of the two-tier
-//! cache), and scored against epoch-swapped graph snapshots — predictions
-//! are bit-identical at any shard count. With `--listen`, the same
-//! protocol is served to concurrent socket clients (one response per
-//! request line, in order per connection) until the process is killed; in
-//! stdin mode a latency/hit-rate summary lands on stderr at EOF.
+//! `{"id": 7, "error": "…"}`). Every complete line already read is
+//! answered as one burst — one engine call, responses in order, one
+//! write — scattered across per-core engine shards (each owning a slice
+//! of the two-tier cache) and scored against epoch-swapped graph
+//! snapshots; predictions are bit-identical at any shard count. With
+//! `--listen`, the same burst loop serves concurrent socket clients (one
+//! response per request line, in order per connection) until the process
+//! is killed; in stdin mode a latency/hit-rate summary lands on stderr at
+//! EOF.
 //! ```
 //!
 //! Set `RELGRAPH_OBS=stderr` for a per-stage timing tree on stderr, or
@@ -89,7 +91,7 @@ use relgraph::pq::{
     analyze, build_training_table, execute, explain, parse, ExecConfig, PredictionValue,
     PreparedQuery,
 };
-use relgraph::serve::{protocol as serve_protocol, MicroBatcher, ServeConfig, ShardedEngine};
+use relgraph::serve::{ServeConfig, ShardedEngine};
 use relgraph::store::{
     load_database_dir, save_database_dir, CommitWindow, DataDir, Database, IngestPolicy,
     PolicyAction, RowBatch,
@@ -662,8 +664,8 @@ struct ServeArgs {
 
 fn serve_usage() -> &'static str {
     "usage: relgraph serve (--data DIR | --data-dir DIR | --demo NAME) \
-     --query 'PREDICT …' [--seed N] [--max-batch N] [--deadline-ms N] \
-     [--pred-cache N] [--emb-cache N] [--l2-cache N] [--precision f64|f32|q8] \
+     --query 'PREDICT …' [--seed N] [--max-batch N] [--pred-cache N] \
+     [--emb-cache N] [--l2-cache N] [--precision f64|f32|q8] \
      [--shards N] [--affinity] [--commit-window N] \
      [--listen HOST:PORT|SOCKET_PATH] \
      (--query is optional when --data-dir holds a warm snapshot; a warm \
@@ -696,12 +698,6 @@ fn parse_serve_args(it: impl Iterator<Item = String>) -> Result<ServeArgs, Strin
             "--query" | "-q" => query = Some(value("--query")?),
             "--seed" => seed = number("--seed", value("--seed")?)?,
             "--max-batch" => cfg.max_batch = number("--max-batch", value("--max-batch")?)? as usize,
-            "--deadline-ms" => {
-                cfg.batch_deadline = std::time::Duration::from_millis(number(
-                    "--deadline-ms",
-                    value("--deadline-ms")?,
-                )?)
-            }
             "--pred-cache" => {
                 cfg.prediction_cache = number("--pred-cache", value("--pred-cache")?)? as usize
             }
@@ -864,11 +860,9 @@ fn serve_from_data_dir(
 }
 
 /// `relgraph serve`: fit the query once, then answer JSONL prediction
-/// requests from stdin — micro-batched, cache-warm, one response line per
-/// request line (malformed lines included).
+/// requests from stdin (or `--listen`'s socket) — in bursts, cache-warm,
+/// one response line per request line (malformed lines included).
 fn run_serve(it: impl Iterator<Item = String>) -> Result<(), String> {
-    use std::io::{BufRead, Write};
-
     let args = parse_serve_args(it)?;
     relgraph::obs::init_from_env();
     let exec = ExecConfig {
@@ -921,89 +915,41 @@ fn run_serve(it: impl Iterator<Item = String>) -> Result<(), String> {
     }
 
     eprintln!(
-        "serving on stdin (max batch {}, deadline {:?}, {} shard(s)); \
-         one JSON request per line",
+        "serving on stdin (max batch {}, {} shard(s)); one JSON request per line",
         args.cfg.max_batch,
-        args.cfg.batch_deadline,
         engine.shards()
     );
 
-    // Reader thread feeds the micro-batcher; the main thread serves.
-    let (tx, rx) = std::sync::mpsc::channel::<String>();
-    let reader = std::thread::spawn(move || {
-        let stdin = std::io::stdin();
-        for line in stdin.lock().lines() {
-            let line = match line {
-                Ok(l) => l,
-                Err(_) => break,
-            };
-            if line.trim().is_empty() {
-                continue;
-            }
-            if tx.send(line).is_err() {
-                break;
-            }
-        }
-    });
-    let batcher = MicroBatcher::new(rx, args.cfg.max_batch, args.cfg.batch_deadline);
-
-    let stdout = std::io::stdout();
-    let mut out = std::io::BufWriter::new(stdout.lock());
+    // The socket front-end's burst loop over stdin: each burst's lines go
+    // through one engine call and out in one write. A request's latency is
+    // its burst's wall time, first line in hand to flush.
     let mut latencies_us: Vec<f64> = Vec::new();
-    let mut occupancy_sum = 0usize;
-    let mut batches = 0usize;
-    let mut responses = 0usize;
-    while let Some(lines) = batcher.next_batch() {
-        let t0 = std::time::Instant::now();
-        // Parse every line; score the parseable ones as one fused batch.
-        let parsed: Vec<Result<serve_protocol::Request, String>> = lines
-            .iter()
-            .map(|l| serve_protocol::parse_request(l))
-            .collect();
-        let keys: Vec<relgraph::store::Value> = parsed
-            .iter()
-            .filter_map(|r| r.as_ref().ok().map(|req| req.entity.clone()))
-            .collect();
-        let scored = engine.predict_batch_keys(&keys);
-        let mut scored_it = scored.into_iter();
-        for (raw, p) in lines.iter().zip(&parsed) {
-            let line = match p {
-                Ok(req) => match scored_it.next().expect("one result per parsed request") {
-                    Ok(pred) => serve_protocol::response_ok(req.id, pred),
-                    Err(e) => serve_protocol::response_err(Some(req.id), &e.to_string()),
-                },
-                // Best-effort id so the client can still correlate.
-                Err(msg) => serve_protocol::response_err(serve_protocol::recover_id(raw), msg),
-            };
-            writeln!(out, "{line}").map_err(|e| e.to_string())?;
-            responses += 1;
-        }
-        out.flush().map_err(|e| e.to_string())?;
-        let us = t0.elapsed().as_secs_f64() * 1e6;
-        let per_request = us / lines.len() as f64;
-        for _ in 0..lines.len() {
-            latencies_us.push(per_request);
-            relgraph::obs::observe("serve.latency_us", per_request);
-        }
-        occupancy_sum += lines.len();
-        batches += 1;
-    }
-    reader.join().map_err(|_| "stdin reader panicked")?;
+    let mut bursts = 0usize;
+    relgraph::serve::serve_stream(
+        &engine,
+        std::io::stdin().lock(),
+        std::io::stdout().lock(),
+        |lines, wall| {
+            let us = wall.as_secs_f64() * 1e6;
+            for _ in 0..lines {
+                latencies_us.push(us);
+                relgraph::obs::observe("serve.latency_us", us);
+            }
+            bursts += 1;
+        },
+    )
+    .map_err(|e| e.to_string())?;
+    let responses = latencies_us.len();
 
     latencies_us.sort_by(|a, b| a.partial_cmp(b).unwrap());
     let stats = engine.stats();
     eprintln!(
-        "served {responses} request(s) in {batches} batch(es) \
-         (mean occupancy {:.1})",
-        if batches > 0 {
-            occupancy_sum as f64 / batches as f64
-        } else {
-            0.0
-        }
+        "served {responses} request(s) in {bursts} burst(s) (mean {:.1} per burst)",
+        responses as f64 / bursts.max(1) as f64
     );
     eprintln!(
-        "latency p50 {:.0} us, p99 {:.0} us; prediction cache hit rate {}, \
-         embedding cache hit rate {}",
+        "latency (a request's burst, first line in hand to flush) p50 {:.0} us, \
+         p99 {:.0} us; prediction cache hit rate {}, embedding cache hit rate {}",
         percentile(&latencies_us, 50.0),
         percentile(&latencies_us, 99.0),
         stats
