@@ -27,7 +27,7 @@ use std::time::Instant;
 
 use relgraph_datagen::{ecommerce_schema, generate_ecommerce_into, EcommerceConfig};
 use relgraph_pq::ExecConfig;
-use relgraph_serve::{save_engine, warm_engine, ServeConfig, ServeEngine};
+use relgraph_serve::{warm_sharded, ServeConfig, ShardedEngine};
 use relgraph_store::{DataDir, Database};
 
 const QUERY: &str = "PREDICT COUNT(orders.*, 0, 30) > 0 FOR EACH customers.customer_id";
@@ -138,9 +138,11 @@ fn phase_fit(dir: &Path) {
     let (dd, db, _report) = DataDir::open(dir).expect("open data dir");
     let t = Instant::now();
     let engine =
-        ServeEngine::fit(db, QUERY, &scale_exec(), ServeConfig::default()).expect("cold fit");
+        ShardedEngine::fit(db, QUERY, &scale_exec(), ServeConfig::default(), 1).expect("cold fit");
     let cold_secs = t.elapsed().as_secs_f64();
-    save_engine(&dd.snapshots_dir(), &engine, QUERY).expect("save warm-start snapshots");
+    engine
+        .save_warm_start(&dd.snapshots_dir(), QUERY)
+        .expect("save warm-start snapshots");
     kv("cold_boot_secs", format!("{cold_secs:.2}"));
     kv("snapshot_bytes", dir_bytes(&dd.snapshots_dir()));
     kv("peak_rss_bytes", peak_rss_bytes());
@@ -149,11 +151,12 @@ fn phase_fit(dir: &Path) {
 fn phase_warm(dir: &Path) {
     let t = Instant::now();
     let (dd, db, _report) = DataDir::open(dir).expect("open data dir");
-    let (engine, _report) = warm_engine(
+    let (engine, _report) = warm_sharded(
         &dd.snapshots_dir(),
         db,
         &scale_exec(),
         ServeConfig::default(),
+        1,
     )
     .expect("warm boot");
     kv(
@@ -162,8 +165,7 @@ fn phase_warm(dir: &Path) {
     );
     // Prove the engine actually serves.
     let entities = engine.deploy_entities().expect("deploy entities");
-    let mut engine = engine;
-    let p = engine.predict_row(entities[0]);
+    let p = engine.predict_batch_rows(&entities[..1])[0];
     assert!(p.is_finite(), "warm engine served a non-finite prediction");
     kv("peak_rss_bytes", peak_rss_bytes());
 }

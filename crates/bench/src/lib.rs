@@ -20,8 +20,8 @@
 //! or individually. Set `RELGRAPH_QUICK=1` to shrink workloads ~4× for a
 //! smoke pass.
 //!
-//! The crate also hosts the CI smoke tools (`tolerance_diff`,
-//! `serve_scale`, `scale_out_of_core`) and the criterion micro-benches
+//! The crate also hosts the CI smoke tool `tolerance_diff`, the
+//! `scale_out_of_core` harness and the criterion micro-benches
 //! under `benches/`. It is not where performance claims are made: those
 //! come from the `benchmark/` package at the repository root, parent
 //! build against change build.

@@ -8,7 +8,8 @@
 //! mid-recursion). Since cached embeddings are pure functions of
 //! `(type, node, level, anchor)`, the caches can only ever *skip* work,
 //! never change a value — correctness reduces to evicting the right
-//! entries when the graph underneath changes (see `engine::ServeEngine`).
+//! entries when the graph underneath changes (see the [`engine`](crate::engine)
+//! module docs).
 //!
 //! The embedding cache is written once, generic over how a row is *held*
 //! ([`CachedRow`]): raw `Vec<f64>` / `Vec<f32>` rows store and return the
@@ -248,7 +249,7 @@ impl CacheStats {
     /// totals (via `relgraph_obs::counter_to`), never re-added, so calling
     /// at any cadence — or once per shard-aggregate — cannot double-count.
     /// Exactly one aggregator must own the `serve.cache.*` names per
-    /// process (the engine, or the sharded tier summing its shards).
+    /// process (one engine, summing its shards).
     pub fn publish(&self) {
         if !relgraph_obs::enabled() {
             return;

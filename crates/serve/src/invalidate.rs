@@ -1,11 +1,11 @@
-//! Delta-driven cache invalidation, shared between the single-threaded
-//! [`ServeEngine`](crate::ServeEngine) and the sharded serving tier.
+//! Delta-driven cache invalidation for the shards of a
+//! [`ShardedEngine`](crate::ShardedEngine).
 //!
 //! The correctness argument lives in `engine`'s module docs; this module
 //! owns the machinery: find the distance-0 dirty seeds an ingest created,
 //! close them over k hops, and package the result as an
-//! [`InvalidationPlan`] that any cache slice — the engine's own, or each
-//! shard's — can apply independently. A plan is *descriptive*, not
+//! [`InvalidationPlan`] that each shard's cache slice (and the shared L2
+//! tier) can apply independently. A plan is *descriptive*, not
 //! imperative: it names `(type, node, distance)` triples, and applying it
 //! to a cache that never held those entries is a no-op. That is what lets
 //! one writer broadcast the same plan to every shard without knowing which

@@ -4,12 +4,17 @@
 //! train once, then answer per-entity requests from a maintained graph at
 //! interactive latency.
 //!
-//! * [`engine`] — [`ServeEngine`]: owns the database, the incrementally
-//!   maintained graph, the trained model, and a two-tier cache (final
-//!   predictions + hop-ℓ node embeddings) with **precise delta
-//!   invalidation**: each ingested batch marks exactly the nodes whose
-//!   inputs changed and evicts cached state within k hops of them, so
-//!   cache-warm predictions stay bit-identical to a cold rebuild;
+//! * [`sharded`] — [`ShardedEngine`], the one engine: owns the database,
+//!   the incrementally maintained graph, the trained model, and per-core
+//!   cache shards (final predictions + hop-ℓ node embeddings) draining
+//!   fused job batches against epoch-swapped graph snapshots ([`epoch`]).
+//!   One writer publishes each ingested group with a broadcast
+//!   [`invalidate`] plan: **precise delta invalidation** evicts exactly the
+//!   cached state within k hops of the nodes whose inputs changed, so
+//!   cache-warm predictions stay bit-identical to a cold rebuild at any
+//!   shard count — `shards = 1` is the single-engine case;
+//! * [`engine`] — the [`ServeConfig`] knobs, ingest outcomes, and the
+//!   cache-aware scoring path every shard runs;
 //! * [`cache`] — the bounded [`Lru`] both tiers are built from, the one
 //!   generic embedding cache ([`RowCache`], parameterised by row codec),
 //!   plus [`CacheStats`] accounting surfaced in run reports;
@@ -18,11 +23,6 @@
 //!   view and its L1 row cache, paired in one precision when an engine or
 //!   shard is built) backing the `--precision f64|f32|q8` serving modes,
 //!   with a tolerance story spelled out in `DESIGN.md` §15;
-//! * [`sharded`] — [`ShardedEngine`]: the concurrent tier — per-core
-//!   cache shards draining fused job batches against epoch-swapped graph
-//!   snapshots ([`epoch`]), with one writer publishing deltas as
-//!   broadcast [`invalidate`] plans; any shard count is bit-identical to
-//!   one [`ServeEngine`];
 //! * [`l2`] — [`L2Tier`]: the shared read-mostly hop-k embedding tier
 //!   under the per-shard L1s — hub neighborhoods are embedded once and
 //!   read lock-free by every shard, with the same epoch-tagged
@@ -43,17 +43,18 @@
 //! ```no_run
 //! use relgraph_datagen::{generate_ecommerce, EcommerceConfig};
 //! use relgraph_pq::ExecConfig;
-//! use relgraph_serve::{ServeConfig, ServeEngine};
+//! use relgraph_serve::{ServeConfig, ShardedEngine};
 //!
 //! let db = generate_ecommerce(&EcommerceConfig::default()).unwrap();
-//! let mut engine = ServeEngine::fit(
+//! let engine = ShardedEngine::fit(
 //!     db,
 //!     "PREDICT COUNT(orders.*, 0, 30) > 0 FOR EACH customers.customer_id",
 //!     &ExecConfig::default(),
 //!     ServeConfig::default(),
+//!     1,
 //! ).unwrap();
-//! let p = engine.predict_row(0); // cold: computes + caches
-//! assert_eq!(engine.predict_row(0), p); // warm: served from cache
+//! let p = engine.predict_batch_rows(&[0])[0]; // cold: computes + caches
+//! assert_eq!(engine.predict_batch_rows(&[0])[0], p); // warm: served from cache
 //! ```
 
 #![warn(missing_docs)]
@@ -77,16 +78,14 @@ pub use cache::{
     CacheStats, CachedRow, EmbeddingCache, EmbeddingCache32, L1Cache, Lru, QuantizedEmbeddingCache,
     RowCache,
 };
-pub use engine::{
-    predict_batch_cached, GroupIngestOutcome, IngestOutcome, ServeConfig, ServeEngine,
-};
+pub use engine::{GroupIngestOutcome, IngestOutcome, ServeConfig};
 pub use epoch::EpochCell;
 pub use error::{ServeError, ServeResult};
 pub use invalidate::{InvalidationPlan, PlanFilter};
 pub use l2::{L2Row, L2Snapshot, L2Tier, TieredStore};
 pub use persist::{
-    load_model, save_engine, save_model, warm_engine, warm_sharded, warm_sharded_partial,
-    ModelSnapshot, PartialWarmBoot, WarmBootReport,
+    load_model, save_model, warm_sharded, warm_sharded_partial, ModelSnapshot, PartialWarmBoot,
+    WarmBootReport,
 };
 pub use protocol::{parse_request, recover_id, response_err, response_ok, Request};
 pub use quant::{dequantize_row, quantize_row, EmbeddingTier, QuantizedRow};

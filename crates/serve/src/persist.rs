@@ -11,7 +11,8 @@
 //!   trained model's [`ModelState`], framed with the store's checksummed
 //!   blob format under magic `RGMS` (DESIGN.md §14.6).
 //!
-//! The warm boot path ([`warm_engine`] / [`warm_sharded`]) loads both,
+//! The warm boot path ([`warm_sharded`] / [`warm_sharded_partial`], saved
+//! by [`ShardedEngine::save_warm_start`]) loads both,
 //! catches the graph up with [`update_graph`] for any rows the database
 //! ingested after the snapshots were taken, re-prepares the query against
 //! the recovered database, and rebuilds the model from its state.
@@ -38,7 +39,7 @@ use relgraph_store::{
 };
 use relgraph_tensor::Tensor;
 
-use crate::engine::{ServeConfig, ServeEngine};
+use crate::engine::ServeConfig;
 use crate::error::{ServeError, ServeResult};
 use crate::sharded::ShardedEngine;
 
@@ -361,98 +362,58 @@ pub fn save_graph_state(
     )?)
 }
 
-/// Persist a [`ServeEngine`]'s warm-start state (graph + model snapshots)
-/// into `dir`. `query_text` is stored alongside the model so a restart can
-/// re-prepare the query. Returns total bytes written.
-pub fn save_engine(dir: &Path, engine: &ServeEngine, query_text: &str) -> ServeResult<u64> {
-    // The engine keeps its cursor equal to the database's current row
-    // counts after every successful operation, so re-capturing here is
-    // exact.
-    let cursor = GraphCursor::capture(engine.db());
-    let graph_bytes = save_graph_state(dir, engine.graph(), engine.mapping(), &cursor)?;
-    let model_bytes = save_model(
-        &dir.join(MODEL_SNAPSHOT_FILE),
-        &ModelSnapshot {
-            query_text: query_text.to_string(),
-            node_type: engine.node_type(),
-            metrics: engine.metrics_owned(),
-            state: engine.model().export(),
-            precision: engine.precision(),
-        },
-    )?;
-    Ok(graph_bytes + model_bytes)
-}
-
-/// Load the warm-start state from `dir` and catch the graph up with any
-/// rows `db` holds beyond the snapshot's cursor. Returns everything needed
-/// to assemble an engine, plus the boot report.
-#[allow(clippy::type_complexity)]
-fn load_parts(
-    dir: &Path,
-    db: &Database,
+/// The warm boot both loaders share; they differ only in `open`, which
+/// opens the database given the graph snapshot's cursor. Loads the graph
+/// and model snapshots from `snaps`, catches the graph up with any rows the
+/// database holds beyond the snapshot's cursor, re-prepares the query,
+/// rebuilds the model, and assembles the engine. The snapshot's stored
+/// serving precision overrides `cfg.precision`: a warm boot must agree
+/// bitwise with the engine that was saved, which it can only do in the
+/// same numeric mode.
+fn warm_boot<T>(
+    snaps: &Path,
     exec: &ExecConfig,
-) -> ServeResult<(
-    HeteroGraph,
-    GraphMapping,
-    PreparedQuery,
-    Arc<NodeModel>,
-    ModelSnapshot,
-    WarmBootReport,
-)> {
+    mut cfg: ServeConfig,
+    shards: usize,
+    open: impl FnOnce(&GraphCursor) -> ServeResult<(Database, T)>,
+) -> ServeResult<(ShardedEngine, WarmBootReport, T)> {
     let _span = obs::span("serve.warm_boot");
-    let (mut graph, mut mapping, mut cursor) = load_graph(&dir.join(GRAPH_SNAPSHOT_FILE))?;
-    let snap = load_model(&dir.join(MODEL_SNAPSHOT_FILE))?;
+    let (mut graph, mut mapping, mut cursor) = load_graph(&snaps.join(GRAPH_SNAPSHOT_FILE))?;
+    let snap = load_model(&snaps.join(MODEL_SNAPSHOT_FILE))?;
+    let (db, opened) = open(&cursor)?;
     let catch_up = update_graph(
-        db,
+        &db,
         &mut graph,
         &mut mapping,
         &mut cursor,
         &ConvertOptions::default(),
     )?;
-    let query = PreparedQuery::prepare(db, &snap.query_text, exec)?;
-    let model = NodeModel::from_state(snap.state.clone())
+    let query = PreparedQuery::prepare(&db, &snap.query_text, exec)?;
+    let model = NodeModel::from_state(snap.state)
         .map_err(|e| ServeError::Engine(format!("model snapshot rejected: {e}")))?;
     let report = WarmBootReport {
         catch_up,
         metrics: snap.metrics.clone(),
-        query_text: snap.query_text.clone(),
+        query_text: snap.query_text,
     };
     if obs::enabled() {
         obs::add("serve.warm_boots", 1);
         obs::add("serve.warm_boot.catch_up_nodes", catch_up.new_nodes as u64);
         obs::add("serve.warm_boot.catch_up_edges", catch_up.new_edges as u64);
     }
-    Ok((graph, mapping, query, Arc::new(model), snap, report))
-}
-
-/// Boot a [`ServeEngine`] warm from the snapshots in `dir`, serving `db`
-/// (typically just recovered via
-/// [`DataDir::open`](relgraph_store::DataDir::open)). No featurization, no
-/// training — predictions are byte-for-byte what a cold
-/// [`ServeEngine::fit`] on the same database would produce.
-///
-/// The snapshot's stored serving precision overrides `cfg.precision`: a
-/// warm boot must agree bitwise with the engine that was saved, which it
-/// can only do in the same numeric mode.
-pub fn warm_engine(
-    dir: &Path,
-    db: Database,
-    exec: &ExecConfig,
-    mut cfg: ServeConfig,
-) -> ServeResult<(ServeEngine, WarmBootReport)> {
-    let (graph, mapping, query, model, snap, report) = load_parts(dir, &db, exec)?;
     cfg.precision = snap.precision;
-    let engine = ServeEngine::from_fitted_graph(
+    let engine = ShardedEngine::from_fitted_graph(
         db,
         graph,
         mapping,
         query,
-        model,
+        Arc::new(model),
         snap.node_type,
         snap.metrics,
         cfg,
+        shards,
     )?;
-    Ok((engine, report))
+    Ok((engine, report, opened))
 }
 
 /// Everything [`warm_sharded_partial`] hands back: the opened data
@@ -489,58 +450,27 @@ pub struct PartialWarmBoot {
 /// itself. Tables left partial refuse further ingest
 /// ([`StoreError::PartiallyLoaded`]) rather than serving fabricated
 /// NULLs. The stored serving precision overrides `cfg.precision`, as in
-/// [`warm_engine`].
+/// [`warm_sharded`].
 pub fn warm_sharded_partial(
     root: &Path,
     exec: &ExecConfig,
-    mut cfg: ServeConfig,
+    cfg: ServeConfig,
     shards: usize,
 ) -> ServeResult<PartialWarmBoot> {
-    let _span = obs::span("serve.warm_boot");
     let snaps = DataDir::snapshots_path(root);
-    let (mut graph, mut mapping, mut cursor) = load_graph(&snaps.join(GRAPH_SNAPSHOT_FILE))?;
-    let snap = load_model(&snaps.join(MODEL_SNAPSHOT_FILE))?;
-    // Keys and time only: features ride in `graph.snap`, and the two
-    // safety rules inside `open_columns` (WAL-touched and unexpectedly
-    // grown tables load fully) keep every table the catch-up delta will
-    // re-featurize fully materialized.
-    let selection = BaseColumnSelection {
-        expected_rows: cursor.counts().to_vec(),
-        ..Default::default()
-    };
-    let (data_dir, db, recovery, partial) = DataDir::open_columns(root, &selection)?;
-    let catch_up = update_graph(
-        &db,
-        &mut graph,
-        &mut mapping,
-        &mut cursor,
-        &ConvertOptions::default(),
-    )?;
-    let query = PreparedQuery::prepare(&db, &snap.query_text, exec)?;
-    let model = NodeModel::from_state(snap.state.clone())
-        .map_err(|e| ServeError::Engine(format!("model snapshot rejected: {e}")))?;
-    let report = WarmBootReport {
-        catch_up,
-        metrics: snap.metrics.clone(),
-        query_text: snap.query_text.clone(),
-    };
-    if obs::enabled() {
-        obs::add("serve.warm_boots", 1);
-        obs::add("serve.warm_boot.catch_up_nodes", catch_up.new_nodes as u64);
-        obs::add("serve.warm_boot.catch_up_edges", catch_up.new_edges as u64);
-    }
-    cfg.precision = snap.precision;
-    let engine = ShardedEngine::from_fitted_graph(
-        db,
-        graph,
-        mapping,
-        query,
-        Arc::new(model),
-        snap.node_type,
-        snap.metrics,
-        cfg,
-        shards,
-    )?;
+    let (engine, report, (data_dir, recovery, partial)) =
+        warm_boot(&snaps, exec, cfg, shards, |cursor| {
+            // Keys and time only: features ride in `graph.snap`, and the
+            // two safety rules inside `open_columns` (WAL-touched and
+            // unexpectedly grown tables load fully) keep every table the
+            // catch-up delta will re-featurize fully materialized.
+            let selection = BaseColumnSelection {
+                expected_rows: cursor.counts().to_vec(),
+                ..Default::default()
+            };
+            let (data_dir, db, recovery, partial) = DataDir::open_columns(root, &selection)?;
+            Ok((db, (data_dir, recovery, partial)))
+        })?;
     Ok(PartialWarmBoot {
         data_dir,
         engine,
@@ -550,29 +480,20 @@ pub fn warm_sharded_partial(
     })
 }
 
-/// Boot a [`ShardedEngine`] warm from the snapshots in `dir` (see
-/// [`warm_engine`]). Any shard count serves bit-identically. The stored
-/// serving precision overrides `cfg.precision`, as in [`warm_engine`].
+/// Boot a [`ShardedEngine`] warm from the snapshots in `dir` (written by
+/// [`ShardedEngine::save_warm_start`]), serving `db` (typically just
+/// recovered via [`DataDir::open`]). No featurization, no training —
+/// predictions are byte-for-byte what a cold [`ShardedEngine::fit`] on the
+/// same database would produce, at any shard count. The stored serving
+/// precision overrides `cfg.precision`.
 pub fn warm_sharded(
     dir: &Path,
     db: Database,
     exec: &ExecConfig,
-    mut cfg: ServeConfig,
+    cfg: ServeConfig,
     shards: usize,
 ) -> ServeResult<(ShardedEngine, WarmBootReport)> {
-    let (graph, mapping, query, model, snap, report) = load_parts(dir, &db, exec)?;
-    cfg.precision = snap.precision;
-    let engine = ShardedEngine::from_fitted_graph(
-        db,
-        graph,
-        mapping,
-        query,
-        model,
-        snap.node_type,
-        snap.metrics,
-        cfg,
-        shards,
-    )?;
+    let (engine, report, ()) = warm_boot(dir, exec, cfg, shards, |_| Ok((db, ())))?;
     Ok((engine, report))
 }
 
@@ -613,17 +534,17 @@ mod tests {
     #[test]
     fn warm_boot_predicts_bit_identically() {
         let db = small_db();
-        let mut cold =
-            ServeEngine::fit(db.clone(), QUERY, &exec(), ServeConfig::default()).unwrap();
+        let cold =
+            ShardedEngine::fit(db.clone(), QUERY, &exec(), ServeConfig::default(), 1).unwrap();
         let dir = tmp("warm-bit-identical");
-        save_engine(&dir, &cold, QUERY).unwrap();
+        cold.save_warm_start(&dir, QUERY).unwrap();
 
-        let (mut warm, report) = warm_engine(&dir, db, &exec(), ServeConfig::default()).unwrap();
+        let (warm, report) = warm_sharded(&dir, db, &exec(), ServeConfig::default(), 1).unwrap();
         assert!(report.catch_up.is_empty());
         assert_eq!(report.query_text, QUERY);
         let rows = cold.deploy_entities().unwrap();
-        let a = cold.predict_batch(&rows);
-        let b = warm.predict_batch(&rows);
+        let a = cold.predict_batch_rows(&rows);
+        let b = warm.predict_batch_rows(&rows);
         assert_eq!(
             a.iter().map(|p| p.to_bits()).collect::<Vec<_>>(),
             b.iter().map(|p| p.to_bits()).collect::<Vec<_>>()
@@ -634,14 +555,14 @@ mod tests {
     #[test]
     fn model_snapshot_round_trip() {
         let db = small_db();
-        let engine = ServeEngine::fit(db, QUERY, &exec(), ServeConfig::default()).unwrap();
+        let engine = ShardedEngine::fit(db, QUERY, &exec(), ServeConfig::default(), 1).unwrap();
         let dir = tmp("model-round-trip");
         let path = dir.join(MODEL_SNAPSHOT_FILE);
         let snap = ModelSnapshot {
             query_text: QUERY.to_string(),
             node_type: engine.node_type(),
-            metrics: engine.metrics_owned(),
-            state: engine.model().export(),
+            metrics: engine.fit_metrics().to_vec(),
+            state: engine.model_handle().export(),
             precision: Precision::Q8,
         };
         save_model(&path, &snap).unwrap();
@@ -666,7 +587,7 @@ mod tests {
     #[test]
     fn corrupt_model_snapshot_is_structured_error() {
         let db = small_db();
-        let engine = ServeEngine::fit(db, QUERY, &exec(), ServeConfig::default()).unwrap();
+        let engine = ShardedEngine::fit(db, QUERY, &exec(), ServeConfig::default(), 1).unwrap();
         let dir = tmp("model-corrupt");
         let path = dir.join(MODEL_SNAPSHOT_FILE);
         save_model(
@@ -674,8 +595,8 @@ mod tests {
             &ModelSnapshot {
                 query_text: QUERY.to_string(),
                 node_type: engine.node_type(),
-                metrics: engine.metrics_owned(),
-                state: engine.model().export(),
+                metrics: engine.fit_metrics().to_vec(),
+                state: engine.model_handle().export(),
                 precision: Precision::F64,
             },
         )

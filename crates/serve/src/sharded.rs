@@ -3,8 +3,8 @@
 //!
 //! # Shape
 //!
-//! A [`ShardedEngine`] splits the single-threaded
-//! [`ServeEngine`](crate::ServeEngine) into three roles:
+//! A [`ShardedEngine`] — the one serving engine; `shards = 1` is the
+//! single-engine case — splits serving into three roles:
 //!
 //! * **Shards** — `N` worker threads, each exclusively owning one slice of
 //!   the two-tier cache (a prediction [`Lru`] and an [`EmbeddingTier`]
@@ -183,9 +183,12 @@ impl ShardedEngine {
         )
     }
 
-    /// Serve an already fitted model (see
-    /// [`ServeEngine::from_fitted`](crate::ServeEngine::from_fitted) for
-    /// why this is sound): rebuilds graph state over `db`, skips training.
+    /// Serve an already fitted model: rebuilds graph state over `db`,
+    /// skips training. Training is deterministic given the seed, so
+    /// engines built this way from the same database predict
+    /// bit-identically to the engine the model was fitted on — this is how
+    /// tests stamp out many engines (shard counts, precisions) from one
+    /// expensive fit.
     pub fn from_fitted(
         db: Database,
         query: PreparedQuery,
@@ -203,9 +206,11 @@ impl ShardedEngine {
     }
 
     /// Serve an already fitted model over an already compiled graph — the
-    /// warm-restart path (see
-    /// [`ServeEngine::from_fitted_graph`](crate::ServeEngine::from_fitted_graph)).
-    /// `graph`/`mapping` must be current with respect to `db`.
+    /// warm-restart path. `graph`/`mapping` must be current with respect to
+    /// `db` (the loader catches the snapshot up with `update_graph` first);
+    /// the engine then serves bit-identically to one built by
+    /// [`fit`](Self::fit) on the same database, without re-featurizing a
+    /// row or training anything.
     #[allow(clippy::too_many_arguments)]
     pub fn from_fitted_graph(
         db: Database,
@@ -345,6 +350,27 @@ impl ShardedEngine {
     /// [`from_fitted`](Self::from_fitted) without them).
     pub fn fit_metrics(&self) -> &[(String, f64)] {
         &self.metrics
+    }
+
+    /// A shareable handle to the fitted model (cheap clone; pairs with
+    /// [`from_fitted`](Self::from_fitted) to stamp out engines from one fit).
+    pub fn model_handle(&self) -> Arc<NodeModel> {
+        Arc::clone(&self.shared.model)
+    }
+
+    /// Node type of the entity table.
+    pub fn node_type(&self) -> NodeTypeId {
+        self.shared.node_type
+    }
+
+    /// The prepared query this engine serves (a clone taken under the
+    /// writer lock).
+    pub fn query(&self) -> PreparedQuery {
+        self.writer
+            .lock()
+            .unwrap_or_else(|p| p.into_inner())
+            .query
+            .clone()
     }
 
     /// Epoch of the currently published snapshot.

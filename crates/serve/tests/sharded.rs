@@ -95,8 +95,8 @@ impl Fitted {
     }
 }
 
-/// Fit once via a ServeEngine (exposes the model), then stamp out the
-/// sharded engine from the same model — bit-identical by construction.
+/// Fit the sharded engine; the model and entity node type it exposes feed
+/// the cold-reference path.
 fn fit_sharded(db: Database, shards: usize) -> Fitted {
     fit_sharded_cfg(db, shards, ServeConfig::default())
 }
@@ -104,25 +104,11 @@ fn fit_sharded(db: Database, shards: usize) -> Fitted {
 /// Like [`fit_sharded`] but with an explicit serving configuration, so
 /// tests can shrink cache tiers or toggle affinity.
 fn fit_sharded_cfg(db: Database, shards: usize, cfg: ServeConfig) -> Fitted {
-    use relgraph_serve::ServeEngine;
-    let single =
-        ServeEngine::fit(db.clone(), QUERY, &quick_exec(), ServeConfig::default()).unwrap();
-    let model = single.model_handle();
-    let node_type = single.node_type();
-    let engine = ShardedEngine::from_fitted(
-        db,
-        single.query().clone(),
-        Arc::clone(&model),
-        node_type,
-        single.metrics_owned(),
-        cfg,
-        shards,
-    )
-    .unwrap();
+    let engine = ShardedEngine::fit(db, QUERY, &quick_exec(), cfg, shards).unwrap();
     Fitted {
+        model: engine.model_handle(),
+        node_type: engine.node_type(),
         engine: Arc::new(engine),
-        model,
-        node_type,
     }
 }
 
@@ -577,33 +563,25 @@ fn hot_keyed_load_steals_without_changing_bits() {
 /// byte-identical predictions, including under concurrent clients.
 #[test]
 fn affinity_pinning_is_invisible_in_response_bits() {
-    use relgraph_serve::ServeEngine;
     let db0 = small_db(61);
-    let single =
-        ServeEngine::fit(db0.clone(), QUERY, &quick_exec(), ServeConfig::default()).unwrap();
-    let model = single.model_handle();
-    let node_type = single.node_type();
-    let make = |affinity: bool| {
-        ShardedEngine::from_fitted(
-            db0.clone(),
-            single.query().clone(),
-            Arc::clone(&model),
-            node_type,
-            single.metrics_owned(),
-            ServeConfig {
-                affinity,
-                ..ServeConfig::default()
-            },
-            4,
-        )
-        .unwrap()
-    };
-    let unpinned = make(false);
+    let unpinned = fit_sharded(db0.clone(), 4).engine;
     let rows = unpinned.deploy_entities().unwrap();
     let baseline = unpinned.predict_batch_rows(&rows);
+    let pinned = ShardedEngine::from_fitted(
+        db0,
+        unpinned.query(),
+        unpinned.model_handle(),
+        unpinned.node_type(),
+        unpinned.fit_metrics().to_vec(),
+        ServeConfig {
+            affinity: true,
+            ..ServeConfig::default()
+        },
+        4,
+    )
+    .unwrap();
     drop(unpinned);
 
-    let pinned = make(true);
     // Concurrent clients over the pinned engine: same bytes, every call.
     std::thread::scope(|scope| {
         for _ in 0..3 {

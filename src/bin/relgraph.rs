@@ -54,8 +54,6 @@
 //!                       shards (default 65536; 0 disables)
 //!   --affinity          pin each shard thread to one core
 //!                       (sched_setaffinity; no-op off Linux)
-//!   --commit-window <N> write-path group-commit window in batches for
-//!                       embedded ingest (default 1 = per-batch commit)
 //!   --listen <ADDR>     serve a socket instead of stdin: `host:port` (TCP)
 //!                       or a filesystem path (Unix domain socket)
 //!
@@ -666,7 +664,7 @@ fn serve_usage() -> &'static str {
     "usage: relgraph serve (--data DIR | --data-dir DIR | --demo NAME) \
      --query 'PREDICT …' [--seed N] [--max-batch N] [--pred-cache N] \
      [--emb-cache N] [--l2-cache N] [--precision f64|f32|q8] \
-     [--shards N] [--affinity] [--commit-window N] \
+     [--shards N] [--affinity] \
      [--listen HOST:PORT|SOCKET_PATH] \
      (--query is optional when --data-dir holds a warm snapshot; a warm \
      snapshot's stored precision wins over --precision)"
@@ -714,10 +712,6 @@ fn parse_serve_args(it: impl Iterator<Item = String>) -> Result<ServeArgs, Strin
                 shards = (number("--shards", value("--shards")?)? as usize).max(1);
             }
             "--affinity" => cfg.affinity = true,
-            "--commit-window" => {
-                cfg.commit_window =
-                    (number("--commit-window", value("--commit-window")?)? as usize).max(1);
-            }
             "--listen" => listen = Some(value("--listen")?),
             "--help" | "-h" => return Err(serve_usage().to_string()),
             other => return Err(format!("unknown flag `{other}`\n{}", serve_usage())),
@@ -1010,5 +1004,29 @@ fn main() -> ExitCode {
             eprintln!("relgraph: {msg}");
             ExitCode::FAILURE
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::{parse_serve_args, serve_usage};
+
+    /// `relgraph serve` never ingests, so it takes no commit window; the
+    /// flag used to be accepted and ignored.
+    #[test]
+    fn serve_rejects_commit_window_with_usage() {
+        let argv = [
+            "--demo",
+            "ecommerce",
+            "--query",
+            "PREDICT …",
+            "--commit-window",
+            "4",
+        ];
+        let err = parse_serve_args(argv.iter().map(|s| s.to_string()))
+            .err()
+            .expect("--commit-window rejected");
+        assert!(err.starts_with("unknown flag `--commit-window`"), "{err}");
+        assert!(err.ends_with(serve_usage()), "{err}");
     }
 }

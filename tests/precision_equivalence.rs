@@ -4,10 +4,9 @@
 //! precision) and then served through every numeric mode the engine
 //! supports — `f64`, `f32` (weights narrowed once, tape-free SIMD
 //! inference) and `q8` (`f32` compute over an 8-bit quantized embedding
-//! tier) — at 1 shard (the plain [`ServeEngine`]) and 4 shards
-//! ([`ShardedEngine`]). After any random schedule of in-span row batches
-//! interleaved with warming reads, three properties must hold for every
-//! deployable entity:
+//! tier) — through a [`ShardedEngine`] at 1 shard and at 4 shards.
+//! After any random schedule of in-span row batches interleaved with
+//! warming reads, three properties must hold for every deployable entity:
 //!
 //! 1. **Within-mode determinism, warm ≡ cold, any shard count.** A warm
 //!    engine in mode *m* is bit-identical to a cold no-cache run of mode
@@ -36,7 +35,7 @@ use relgraph::gnn::{
     predict_nodes, predict_nodes_f32, InferModel32, NoCache, NoCache32, Precision,
 };
 use relgraph::pq::ExecConfig;
-use relgraph::serve::{QuantizedEmbeddingCache, ServeConfig, ServeEngine, ShardedEngine};
+use relgraph::serve::{QuantizedEmbeddingCache, ServeConfig, ShardedEngine};
 use relgraph::store::{IngestPolicy, Row, RowBatch, Value};
 
 const QUERY: &str = "PREDICT COUNT(orders.*, 0, 30) > 0 FOR EACH customers.customer_id";
@@ -61,8 +60,8 @@ fn tolerance(mode: Precision) -> f64 {
 /// The one fitted model every mode serves (training is the expensive
 /// part, and sharing it is the point: all modes down-convert from the
 /// same `f64` weights).
-fn engine() -> &'static Mutex<ServeEngine> {
-    static ENGINE: OnceLock<Mutex<ServeEngine>> = OnceLock::new();
+fn engine() -> &'static Mutex<ShardedEngine> {
+    static ENGINE: OnceLock<Mutex<ShardedEngine>> = OnceLock::new();
     ENGINE.get_or_init(|| {
         let db = generate_ecommerce(&EcommerceConfig {
             customers: CUSTOMERS as usize,
@@ -77,7 +76,7 @@ fn engine() -> &'static Mutex<ServeEngine> {
             fanouts: vec![4, 4],
             ..Default::default()
         };
-        Mutex::new(ServeEngine::fit(db, QUERY, &exec, ServeConfig::default()).unwrap())
+        Mutex::new(ShardedEngine::fit(db, QUERY, &exec, ServeConfig::default(), 1).unwrap())
     })
 }
 
@@ -113,24 +112,25 @@ proptest! {
         let (db, query, model, node_type, metrics) = {
             let eng = engine().lock().unwrap_or_else(|e| e.into_inner());
             (
-                eng.db().clone(),
-                eng.query().clone(),
+                eng.snapshot().db.clone(),
+                eng.query(),
                 eng.model_handle(),
                 eng.node_type(),
-                eng.metrics_owned(),
+                eng.fit_metrics().to_vec(),
             )
         };
         let cfg = |precision| ServeConfig { precision, ..ServeConfig::default() };
-        let mut singles: Vec<ServeEngine> = MODES
+        let singles: Vec<ShardedEngine> = MODES
             .iter()
             .map(|&m| {
-                ServeEngine::from_fitted(
+                ShardedEngine::from_fitted(
                     db.clone(),
                     query.clone(),
                     model.clone(),
                     node_type,
                     metrics.clone(),
                     cfg(m),
+                    1,
                 )
                 .unwrap()
             })
@@ -153,15 +153,15 @@ proptest! {
         let rows = singles[0].deploy_entities().unwrap();
 
         // Warm every tier before the writes start biting.
-        for eng in singles.iter_mut() {
-            let _ = eng.predict_batch(&rows);
+        for eng in &singles {
+            let _ = eng.predict_batch_rows(&rows);
         }
         for eng in &sharded {
             let _ = eng.predict_batch_rows(&rows);
         }
 
         for (orders, probes) in &schedule {
-            let (lo, hi) = singles[0].db().time_span().unwrap();
+            let (lo, hi) = singles[0].snapshot().db.time_span().unwrap();
             // Materialize each step's rows ONCE — ids are drawn from the
             // shared counter a single time and replayed into every engine.
             let materialized: Vec<Row> = orders
@@ -188,7 +188,7 @@ proptest! {
                 }
                 batch
             };
-            for eng in singles.iter_mut() {
+            for eng in &singles {
                 let outcome = eng.ingest(mk_batch(), &IngestPolicy::coerce_all()).unwrap();
                 prop_assert_eq!(outcome.report.accepted, materialized.len());
                 prop_assert!(!outcome.flushed && !outcome.rebuilt);
@@ -200,8 +200,8 @@ proptest! {
             }
             let probe_rows: Vec<usize> = probes.iter().map(|&s| rows[s % rows.len()]).collect();
             if !probe_rows.is_empty() {
-                for eng in singles.iter_mut() {
-                    let _ = eng.predict_batch(&probe_rows);
+                for eng in &singles {
+                    let _ = eng.predict_batch_rows(&probe_rows);
                 }
                 for eng in &sharded {
                     let _ = eng.predict_batch_rows(&probe_rows);
@@ -213,8 +213,9 @@ proptest! {
         // warm cache. The q8 oracle runs with a FRESH quantized store so
         // fresh embeddings pass through the same codec grid warm serving
         // quantized them onto.
-        let anchor = singles[0].anchor();
-        let (scratch, _) = build_graph(singles[0].db(), &ConvertOptions::default()).unwrap();
+        let settled = singles[0].snapshot();
+        let anchor = settled.anchor;
+        let (scratch, _) = build_graph(&settled.db, &ConvertOptions::default()).unwrap();
         let cold_f64 = predict_nodes(&model, &scratch, node_type, &rows, anchor, &mut NoCache);
         let m32 = InferModel32::from_model(&model);
         let cold_f32 =
@@ -226,7 +227,7 @@ proptest! {
         let cold = [&cold_f64, &cold_f32, &cold_q8];
 
         for (mi, &mode) in MODES.iter().enumerate() {
-            let warm_single = singles[mi].predict_batch(&rows);
+            let warm_single = singles[mi].predict_batch_rows(&rows);
             let warm_sharded = sharded[mi].predict_batch_rows(&rows);
             let tol = tolerance(mode);
             for (i, (&c, (ws, wh))) in cold[mi]

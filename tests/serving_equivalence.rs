@@ -1,7 +1,7 @@
 //! Serving-cache equivalence under random ingest schedules: a warm
-//! [`ServeEngine`] — whose two cache tiers are invalidated *precisely*
-//! (dirty nodes + k-hop closure) rather than flushed — must, after any
-//! sequence of row batches interleaved with warming reads, return
+//! one-shard [`ShardedEngine`] — whose two cache tiers are invalidated
+//! *precisely* (dirty nodes + k-hop closure) rather than flushed — must,
+//! after any sequence of row batches interleaved with warming reads, return
 //! predictions bit-identical to a cold run: the same fitted model applied
 //! to a scratch-compiled graph of the final database with no cache at all.
 //!
@@ -30,15 +30,15 @@ use relgraph::gnn::{
     predict_nodes, predict_nodes_f32, InferModel32, NoCache, NoCache32, Precision,
 };
 use relgraph::pq::ExecConfig;
-use relgraph::serve::{QuantizedEmbeddingCache, ServeConfig, ServeEngine, ShardedEngine};
+use relgraph::serve::{QuantizedEmbeddingCache, ServeConfig, ShardedEngine};
 use relgraph::store::{Database, IngestPolicy, Row, RowBatch, Value};
 
 const QUERY: &str = "PREDICT COUNT(orders.*, 0, 30) > 0 FOR EACH customers.customer_id";
 const CUSTOMERS: i64 = 50;
 const PRODUCTS: i64 = 12;
 
-fn engine() -> &'static Mutex<ServeEngine> {
-    static ENGINE: OnceLock<Mutex<ServeEngine>> = OnceLock::new();
+fn engine() -> &'static Mutex<ShardedEngine> {
+    static ENGINE: OnceLock<Mutex<ShardedEngine>> = OnceLock::new();
     ENGINE.get_or_init(|| {
         let db = generate_ecommerce(&EcommerceConfig {
             customers: CUSTOMERS as usize,
@@ -53,7 +53,7 @@ fn engine() -> &'static Mutex<ServeEngine> {
             fanouts: vec![4, 4],
             ..Default::default()
         };
-        Mutex::new(ServeEngine::fit(db, QUERY, &exec, ServeConfig::default()).unwrap())
+        Mutex::new(ShardedEngine::fit(db, QUERY, &exec, ServeConfig::default(), 1).unwrap())
     })
 }
 
@@ -83,15 +83,15 @@ proptest! {
 
     #[test]
     fn warm_cache_equals_cold_rebuild_after_random_ingest(schedule in schedule_strategy()) {
-        let mut eng = engine().lock().unwrap_or_else(|e| e.into_inner());
+        let eng = engine().lock().unwrap_or_else(|e| e.into_inner());
         let rows = eng.deploy_entities().unwrap();
 
         // Fill both tiers so the schedule's invalidations have cached
         // state to bite on.
-        let _ = eng.predict_batch(&rows);
+        let _ = eng.predict_batch_rows(&rows);
 
         for (orders, probes) in &schedule {
-            let (lo, hi) = eng.db().time_span().unwrap();
+            let (lo, hi) = eng.snapshot().db.time_span().unwrap();
             let mut batch = RowBatch::new();
             for &(c, p, qty, amount, frac) in orders {
                 // In [lo + span/4, lo + 3·span/4]: strictly before `hi`,
@@ -123,20 +123,21 @@ proptest! {
             // cache between writes, like live traffic would.
             let probe_rows: Vec<usize> = probes.iter().map(|&s| rows[s % rows.len()]).collect();
             if !probe_rows.is_empty() {
-                let _ = eng.predict_batch(&probe_rows);
+                let _ = eng.predict_batch_rows(&probe_rows);
             }
         }
 
         // The property: warm serving ≡ cold rebuild, bit for bit, for
         // every deployable entity.
-        let warm = eng.predict_batch(&rows);
-        let (scratch, _) = build_graph(eng.db(), &ConvertOptions::default()).unwrap();
+        let warm = eng.predict_batch_rows(&rows);
+        let snap = eng.snapshot();
+        let (scratch, _) = build_graph(&snap.db, &ConvertOptions::default()).unwrap();
         let cold = predict_nodes(
-            eng.model(),
+            &eng.model_handle(),
             &scratch,
             eng.node_type(),
             &rows,
-            eng.anchor(),
+            snap.anchor,
             &mut NoCache,
         );
         for (i, (w, c)) in warm.iter().zip(&cold).enumerate() {
@@ -172,11 +173,11 @@ proptest! {
         let (db, query, model, node_type, metrics) = {
             let eng = engine().lock().unwrap_or_else(|e| e.into_inner());
             (
-                eng.db().clone(),
-                eng.query().clone(),
+                eng.snapshot().db.clone(),
+                eng.query(),
                 eng.model_handle(),
                 eng.node_type(),
-                eng.metrics_owned(),
+                eng.fit_metrics().to_vec(),
             )
         };
         let engines: Vec<ShardedEngine> = [1usize, 2, 4, 8]
@@ -303,13 +304,14 @@ proptest! {
         // stable because every batch timestamp stays inside the span.
         let (db, query, model, node_type, metrics, anchor, rows) = {
             let eng = engine().lock().unwrap_or_else(|e| e.into_inner());
+            let snap = eng.snapshot();
             (
-                eng.db().clone(),
-                eng.query().clone(),
+                snap.db.clone(),
+                eng.query(),
                 eng.model_handle(),
                 eng.node_type(),
-                eng.metrics_owned(),
-                eng.anchor(),
+                eng.fit_metrics().to_vec(),
+                snap.anchor,
                 eng.deploy_entities().unwrap(),
             )
         };
