@@ -20,11 +20,10 @@
 //! or individually. Set `RELGRAPH_QUICK=1` to shrink workloads ~4× for a
 //! smoke pass.
 //!
-//! The crate also hosts the CI smoke tool `tolerance_diff`, the
-//! `scale_out_of_core` harness and the criterion micro-benches
-//! under `benches/`. It is not where performance claims are made: those
-//! come from the `benchmark/` package at the repository root, parent
-//! build against change build.
+//! The crate also hosts the CI smoke tool `tolerance_diff` and the
+//! `scale_out_of_core` harness. It is not where performance claims are
+//! made: those come from the `benchmark/` package at the repository root,
+//! parent build against change build.
 
 pub mod report;
 pub mod tasks;

@@ -36,14 +36,13 @@
 //! uniform fanouts the two coincide.
 
 use std::collections::{HashMap, HashSet};
-use std::ops::{AddAssign, MulAssign};
 
 use rayon::prelude::*;
 use relgraph_graph::sampler::DEGREE_WINDOWS_DAYS;
 use relgraph_graph::{HeteroGraph, NodeTypeId, SamplerConfig, ALWAYS_VISIBLE};
 use relgraph_nn::Linear;
 use relgraph_obs as obs;
-use relgraph_tensor::{apply_act_f32, ActKind, Tensor};
+use relgraph_tensor::{ActKind, Tensor};
 
 use crate::model::HeteroGnn;
 use crate::precision::InferModel32;
@@ -57,33 +56,9 @@ const SECONDS_PER_DAY: i64 = 86_400;
 /// a value.
 const EVAL_CHUNK: usize = 64;
 
-/// The scalar the walk computes in: `f64` or `f32`.
-pub trait Element:
-    Copy + Default + PartialOrd + Into<f64> + Send + Sync + AddAssign + MulAssign
-{
-    /// Narrow (or keep) an `f64` — level-0 feature rows, the mean's `1/c`.
-    fn from_f64(x: f64) -> Self;
-    /// Apply an activation to one value.
-    fn act(kind: ActKind, x: Self) -> Self;
-}
-
-impl Element for f64 {
-    fn from_f64(x: f64) -> Self {
-        x
-    }
-    fn act(kind: ActKind, x: Self) -> Self {
-        kind.apply(x)
-    }
-}
-
-impl Element for f32 {
-    fn from_f64(x: f64) -> Self {
-        x as f32
-    }
-    fn act(kind: ActKind, x: Self) -> Self {
-        apply_act_f32(kind, x)
-    }
-}
+/// The scalar the walk computes in: `f64` or `f32` — the element type of
+/// the tensor crate's packed-B kernel.
+pub use relgraph_tensor::Element;
 
 /// An external cache of per-node embeddings keyed `(node type, node,
 /// level)`. All entries are implicitly relative to one anchor time — the
@@ -538,7 +513,7 @@ fn eval_node<M: InferModel>(
     }
     if has_children {
         for a in &mut acc {
-            *a = M::Elem::act(activation, *a);
+            *a = activation.apply(*a);
         }
     }
     acc

@@ -12,7 +12,7 @@
 
 use relgraph_graph::SamplerConfig;
 use relgraph_nn::Linear;
-use relgraph_tensor::{mm_packed_f32, pack_b_f32, ActKind};
+use relgraph_tensor::{mm_panel, pack_b, ActKind};
 
 use crate::infer::{InferModel, ModelSpec};
 use crate::model::HeteroGnn;
@@ -117,7 +117,7 @@ impl InferModel32 {
         {
             let w32: Vec<f32> = lin.weight(ps).data().iter().map(|&x| x as f32).collect();
             dense[lin.weight_id().index()] = Some(LinearF32 {
-                packed_w: pack_b_f32(&w32, lin.in_dim(), lin.out_dim()),
+                packed_w: pack_b(&w32, lin.in_dim(), lin.out_dim()),
                 bias: lin.bias(ps).data().iter().map(|&x| x as f32).collect(),
             });
         }
@@ -157,7 +157,7 @@ impl InferModel for InferModel32 {
         debug_assert_eq!(x.len(), rows * lin.in_dim());
         out.clear();
         out.resize(rows * lin.out_dim(), 0.0);
-        mm_packed_f32(
+        mm_panel(
             x,
             &narrowed.packed_w,
             out,

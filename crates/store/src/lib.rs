@@ -12,9 +12,8 @@
 //! * columnar tables with O(1) primary-key lookup ([`Table`]);
 //! * a multi-table [`Database`] with referential-integrity validation;
 //! * CSV import/export ([`csv`]);
-//! * a tiny relational-algebra layer (filter / project / join / group) used
-//!   by the feature-engineering baseline and by training-table construction
-//!   ([`query`]).
+//! * row predicates (column-vs-constant filters with SQL NULL semantics)
+//!   used by the predictive-query planner ([`query`]).
 //!
 //! Everything is deterministic. Durability is layered on top by the
 //! [`persist`] module family: a columnar on-disk format, an ingest
@@ -63,7 +62,7 @@ pub use persist::{
     BaseColumnSelection, ColumnarBackend, CommitWindow, CsvDirBackend, DataDir, GroupCommitOutcome,
     PartialLoadReport, RecoveryReport, StorageBackend,
 };
-pub use query::{hash_join, Aggregation, CmpOp, GroupQuery, JoinedRows, Predicate};
+pub use query::{CmpOp, Predicate};
 pub use row::Row;
 pub use schema::{ColumnDef, ForeignKey, TableSchema, TableSchemaBuilder};
 pub use table::Table;

@@ -1,17 +1,12 @@
-//! A tiny relational-algebra layer: predicates, equi-joins and grouped
-//! aggregation over [`Table`]s.
-//!
-//! This is not a general query engine — it covers exactly what the
-//! predictive-query planner and the feature-engineering baseline need:
-//! column-vs-constant filters, FK hash joins, and per-group aggregates with
-//! optional time-window restrictions.
+//! Row predicates over [`Table`]s: column-vs-constant comparisons, NULL
+//! tests and their boolean combinations, with SQL NULL semantics. This is
+//! what the predictive-query planner filters entities and target rows with.
 
 use std::cmp::Ordering;
-use std::collections::HashMap;
 
 use crate::error::{StoreError, StoreResult};
 use crate::table::Table;
-use crate::value::{Timestamp, Value};
+use crate::value::Value;
 
 /// Comparison operators usable in predicates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -119,215 +114,6 @@ impl Predicate {
     }
 }
 
-/// Result of an equi-join: matched (left-row, right-row) index pairs.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct JoinedRows {
-    /// `(left_row_index, right_row_index)` pairs.
-    pub pairs: Vec<(usize, usize)>,
-}
-
-/// Hash equi-join of `left.left_col = right.right_col`. NULLs never join.
-pub fn hash_join(
-    left: &Table,
-    left_col: &str,
-    right: &Table,
-    right_col: &str,
-) -> StoreResult<JoinedRows> {
-    let lcol = left
-        .column_by_name(left_col)
-        .ok_or_else(|| StoreError::UnknownColumn {
-            table: left.name().to_string(),
-            column: left_col.to_string(),
-        })?;
-    let rcol = right
-        .column_by_name(right_col)
-        .ok_or_else(|| StoreError::UnknownColumn {
-            table: right.name().to_string(),
-            column: right_col.to_string(),
-        })?;
-    // Build on the smaller side.
-    let mut index: HashMap<String, Vec<usize>> = HashMap::with_capacity(right.len());
-    for j in 0..rcol.len() {
-        let v = rcol.get(j);
-        if v.is_null() {
-            continue;
-        }
-        index.entry(v.group_key()).or_default().push(j);
-    }
-    let mut pairs = Vec::new();
-    for i in 0..lcol.len() {
-        let v = lcol.get(i);
-        if v.is_null() {
-            continue;
-        }
-        if let Some(matches) = index.get(&v.group_key()) {
-            for &j in matches {
-                pairs.push((i, j));
-            }
-        }
-    }
-    Ok(JoinedRows { pairs })
-}
-
-/// Aggregate functions for grouped queries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Aggregation {
-    /// Number of rows in the group.
-    Count,
-    /// Number of distinct non-null values of the aggregated column.
-    CountDistinct,
-    /// Sum of the numeric column (NULLs skipped).
-    Sum,
-    /// Mean of the numeric column (NULLs skipped; empty ⇒ NULL).
-    Avg,
-    Min,
-    Max,
-    /// 1.0 if the group is non-empty else 0.0.
-    Exists,
-}
-
-impl std::fmt::Display for Aggregation {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let s = match self {
-            Aggregation::Count => "COUNT",
-            Aggregation::CountDistinct => "COUNT_DISTINCT",
-            Aggregation::Sum => "SUM",
-            Aggregation::Avg => "AVG",
-            Aggregation::Min => "MIN",
-            Aggregation::Max => "MAX",
-            Aggregation::Exists => "EXISTS",
-        };
-        f.write_str(s)
-    }
-}
-
-/// A grouped aggregation over one table:
-/// `SELECT group_col, AGG(value_col) FROM table [WHERE time ∈ window] GROUP BY group_col`.
-#[derive(Debug, Clone)]
-pub struct GroupQuery {
-    /// Column whose values partition the rows.
-    pub group_column: String,
-    /// Column fed to the aggregate (ignored by `Count`/`Exists`).
-    pub value_column: Option<String>,
-    /// The aggregate to compute.
-    pub aggregation: Aggregation,
-    /// Optional half-open time window `(lo, hi]` applied to the table's time
-    /// column before grouping.
-    pub time_window: Option<(Timestamp, Timestamp)>,
-}
-
-impl GroupQuery {
-    /// Run the query, returning `group-key → aggregate value` keyed by the
-    /// group value's [`Value::group_key`]. Groups with no rows are absent.
-    pub fn run(&self, table: &Table) -> StoreResult<HashMap<String, f64>> {
-        let gcol =
-            table
-                .column_by_name(&self.group_column)
-                .ok_or_else(|| StoreError::UnknownColumn {
-                    table: table.name().to_string(),
-                    column: self.group_column.clone(),
-                })?;
-        let vcol = match &self.value_column {
-            Some(name) => {
-                Some(
-                    table
-                        .column_by_name(name)
-                        .ok_or_else(|| StoreError::UnknownColumn {
-                            table: table.name().to_string(),
-                            column: name.clone(),
-                        })?,
-                )
-            }
-            None => None,
-        };
-        if vcol.is_none() && !matches!(self.aggregation, Aggregation::Count | Aggregation::Exists) {
-            return Err(StoreError::InvalidQuery(format!(
-                "{} requires a value column",
-                self.aggregation
-            )));
-        }
-        // Accumulators per group.
-        #[derive(Default)]
-        struct Acc {
-            count: f64,
-            sum: f64,
-            n_numeric: f64,
-            min: f64,
-            max: f64,
-            seen_any_numeric: bool,
-            distinct: std::collections::HashSet<String>,
-        }
-        let mut groups: HashMap<String, Acc> = HashMap::new();
-        for i in 0..table.len() {
-            if let Some((lo, hi)) = self.time_window {
-                match table.row_timestamp(i) {
-                    Some(t) if t > lo && t <= hi => {}
-                    _ => continue,
-                }
-            }
-            let g = gcol.get(i);
-            if g.is_null() {
-                continue;
-            }
-            let acc = groups.entry(g.group_key()).or_default();
-            acc.count += 1.0;
-            if let Some(vc) = vcol {
-                let v = vc.get(i);
-                if v.is_null() {
-                    continue;
-                }
-                if self.aggregation == Aggregation::CountDistinct {
-                    acc.distinct.insert(v.group_key());
-                }
-                if let Some(x) = v.as_f64() {
-                    if !acc.seen_any_numeric {
-                        acc.min = x;
-                        acc.max = x;
-                        acc.seen_any_numeric = true;
-                    } else {
-                        acc.min = acc.min.min(x);
-                        acc.max = acc.max.max(x);
-                    }
-                    acc.sum += x;
-                    acc.n_numeric += 1.0;
-                }
-            }
-        }
-        let mut out = HashMap::with_capacity(groups.len());
-        for (k, acc) in groups {
-            let v = match self.aggregation {
-                Aggregation::Count => acc.count,
-                Aggregation::CountDistinct => acc.distinct.len() as f64,
-                Aggregation::Sum => acc.sum,
-                Aggregation::Avg => {
-                    if acc.n_numeric > 0.0 {
-                        acc.sum / acc.n_numeric
-                    } else {
-                        continue;
-                    }
-                }
-                Aggregation::Min => {
-                    if acc.seen_any_numeric {
-                        acc.min
-                    } else {
-                        continue;
-                    }
-                }
-                Aggregation::Max => {
-                    if acc.seen_any_numeric {
-                        acc.max
-                    } else {
-                        continue;
-                    }
-                }
-                Aggregation::Exists => 1.0,
-            };
-            out.insert(k, v);
-        }
-        Ok(out)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -407,84 +193,5 @@ mod tests {
         let t = events();
         let p = Predicate::cmp("user", CmpOp::Eq, "ten");
         assert!(p.filter(&t).is_err());
-    }
-
-    #[test]
-    fn join_pairs() {
-        let t = events();
-        // Self-join events on user: each user's rows pair with each other.
-        let j = hash_join(&t, "user", &t, "user").unwrap();
-        // user 10: 2×2, user 11: 2×2, user 12: 1×1 → 9 pairs.
-        assert_eq!(j.pairs.len(), 9);
-    }
-
-    #[test]
-    fn group_count_and_sum() {
-        let t = events();
-        let q = GroupQuery {
-            group_column: "user".into(),
-            value_column: None,
-            aggregation: Aggregation::Count,
-            time_window: None,
-        };
-        let r = q.run(&t).unwrap();
-        assert_eq!(r[&Value::Int(10).group_key()], 2.0);
-        assert_eq!(r[&Value::Int(12).group_key()], 1.0);
-
-        let q = GroupQuery {
-            group_column: "user".into(),
-            value_column: Some("amount".into()),
-            aggregation: Aggregation::Sum,
-            time_window: None,
-        };
-        let r = q.run(&t).unwrap();
-        assert_eq!(r[&Value::Int(10).group_key()], 8.0);
-        // user 11 has one NULL amount; SUM skips it.
-        assert_eq!(r[&Value::Int(11).group_key()], 7.0);
-    }
-
-    #[test]
-    fn group_with_time_window_is_half_open() {
-        let t = events();
-        let q = GroupQuery {
-            group_column: "user".into(),
-            value_column: None,
-            aggregation: Aggregation::Count,
-            // (100, 200]: excludes t=100, includes t=200.
-            time_window: Some((100, 200)),
-        };
-        let r = q.run(&t).unwrap();
-        assert_eq!(r.get(&Value::Int(10).group_key()), Some(&1.0));
-        assert_eq!(r.get(&Value::Int(11).group_key()), Some(&1.0));
-        assert_eq!(r.get(&Value::Int(12).group_key()), None);
-    }
-
-    #[test]
-    fn group_min_max_avg_distinct() {
-        let t = events();
-        let mk = |agg| GroupQuery {
-            group_column: "user".into(),
-            value_column: Some("amount".into()),
-            aggregation: agg,
-            time_window: None,
-        };
-        let key = Value::Int(10).group_key();
-        assert_eq!(mk(Aggregation::Min).run(&t).unwrap()[&key], 3.0);
-        assert_eq!(mk(Aggregation::Max).run(&t).unwrap()[&key], 5.0);
-        assert_eq!(mk(Aggregation::Avg).run(&t).unwrap()[&key], 4.0);
-        assert_eq!(mk(Aggregation::CountDistinct).run(&t).unwrap()[&key], 2.0);
-        assert_eq!(mk(Aggregation::Exists).run(&t).unwrap()[&key], 1.0);
-    }
-
-    #[test]
-    fn sum_without_value_column_errors() {
-        let t = events();
-        let q = GroupQuery {
-            group_column: "user".into(),
-            value_column: None,
-            aggregation: Aggregation::Sum,
-            time_window: None,
-        };
-        assert!(q.run(&t).is_err());
     }
 }

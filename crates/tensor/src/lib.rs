@@ -16,6 +16,11 @@
 //! row gather, segment sum/mean (scatter-style neighborhood aggregation),
 //! column concat, log-softmax, and scalar reductions.
 //!
+//! The packed-B matmul kernel, [`pack_b`] + [`mm_panel`], is written once
+//! over the sealed [`Element`] trait: `f64` for training (the tape is `f64`
+//! throughout) and `f32` for reduced-precision serving, which prepacks a
+//! fitted model's narrowed weights once and calls the same kernel per node.
+//!
 //! ## Example
 //!
 //! ```
@@ -33,16 +38,11 @@
 
 pub mod error;
 pub mod gradcheck;
-pub mod kernels;
-pub mod kernels32;
+mod kernels;
 pub mod tape;
 pub mod tensor;
 
 pub use error::{TensorError, TensorResult};
-pub use kernels::ActKind;
-pub use kernels32::{
-    apply_act_f32, matmul_bias_act_f32, matmul_naive_f32, mm_packed_f32, pack_b_f32,
-    stable_sigmoid_f32,
-};
+pub use kernels::{mm_panel, pack_b, ActKind, Element};
 pub use tape::{Graph, Op, Var};
 pub use tensor::Tensor;

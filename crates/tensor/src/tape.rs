@@ -1312,4 +1312,49 @@ mod tests {
         assert!((softplus(1000.0) - 1000.0).abs() < 1e-9);
         assert!(softplus(-1000.0) >= 0.0);
     }
+
+    #[test]
+    fn training_gradcheck_stays_f64_tight() {
+        // Guard: the training tape must still compute in f64. A central
+        // finite-difference check at 1e-7 tolerance is unreachable by any
+        // f32 compute path (ε₃₂ ≈ 6e-8 per rounding already eats it), so
+        // this test fails if inference-precision plumbing ever leaks into
+        // the autodiff forward.
+        use crate::{Graph, Tensor};
+        let x = Tensor::from_rows(&[&[0.3, -0.7, 0.2], &[0.9, 0.1, -0.4]]);
+        let w = Tensor::from_rows(&[&[0.5, -0.2], &[0.8, 0.3], &[-0.6, 0.7]]);
+        let b = Tensor::from_rows(&[&[0.05, -0.1]]);
+        let loss_of = |wt: &Tensor| {
+            let mut g = Graph::new();
+            let xv = g.leaf(x.clone());
+            let wv = g.leaf(wt.clone());
+            let bv = g.leaf(b.clone());
+            let y = g.linear_act(xv, wv, bv, ActKind::Tanh);
+            let l = g.mean_all(y);
+            g.value(l).item()
+        };
+        let mut g = Graph::new();
+        let xv = g.leaf(x.clone());
+        let wv = g.leaf(w.clone());
+        let bv = g.leaf(b.clone());
+        let y = g.linear_act(xv, wv, bv, ActKind::Tanh);
+        let l = g.mean_all(y);
+        g.backward(l).unwrap();
+        let grad = g.grad(wv).unwrap().clone();
+        let eps = 1e-6;
+        for r in 0..3 {
+            for c in 0..2 {
+                let mut wp = w.clone();
+                wp.set(r, c, w.get(r, c) + eps);
+                let mut wm = w.clone();
+                wm.set(r, c, w.get(r, c) - eps);
+                let num = (loss_of(&wp) - loss_of(&wm)) / (2.0 * eps);
+                assert!(
+                    (num - grad.get(r, c)).abs() < 1e-7,
+                    "training grad at ({r},{c}) is not f64-tight: numeric {num} vs tape {}",
+                    grad.get(r, c)
+                );
+            }
+        }
+    }
 }

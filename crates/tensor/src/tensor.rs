@@ -3,7 +3,7 @@
 //!
 //! [`Tensor::matmul`] dispatches by size: tiny products run the naive
 //! serial kernel (blocking overhead would dominate), everything else runs
-//! the register-tiled FMA microkernel from [`crate::kernels`], serial below
+//! the register-tiled FMA microkernel [`crate::mm_panel`], serial below
 //! `PAR_FLOPS_THRESHOLD` multiply-adds and parallel over disjoint
 //! output-row panels above it. Each output element is accumulated by a
 //! fixed `mul_add` chain that depends only on its input row/column — never
@@ -25,7 +25,7 @@ use crate::kernels::{self, ActKind};
 /// Below this many multiply-adds, `matmul` falls back to the naive serial
 /// kernel: register blocking and the runtime feature-dispatch indirection
 /// cost more than the multiplication itself at these sizes.
-pub(crate) const NAIVE_FLOPS_THRESHOLD: usize = 32 * 32 * 32;
+const NAIVE_FLOPS_THRESHOLD: usize = 32 * 32 * 32;
 
 /// Below this many multiply-adds a matmul runs the microkernel
 /// single-threaded. Measured on the 2-core reference host (EXPERIMENTS.md,
@@ -34,7 +34,7 @@ pub(crate) const NAIVE_FLOPS_THRESHOLD: usize = 32 * 32 * 32;
 /// two threads are 5x slower, at 128³ (150 µs) they still lose, at 4M
 /// multiply-adds they win 1.26x back to back and lose 12 % after a pause,
 /// and from 6M (~0.5 ms inline) they win either way, 1.1–1.4x.
-pub(crate) const PAR_FLOPS_THRESHOLD: usize = 192 * 192 * 192;
+const PAR_FLOPS_THRESHOLD: usize = 192 * 192 * 192;
 
 /// Output rows per parallel task (also the unit of A-row cache reuse).
 /// Panel boundaries are a fixed function of this constant, never of the
@@ -278,12 +278,12 @@ impl Tensor {
         }
         relgraph_obs::add("tensor.matmul.blocked_calls", 1);
         let bias = bias.map(Tensor::data);
-        let packed = kernels::pack_b(&rhs.data, kd, n);
+        let packed = kernels::pack_b::<f64>(&rhs.data, kd, n);
         let body = |(chunk, out_block): (usize, &mut [f64])| {
             let i0 = chunk * ROW_BLOCK;
             let rows_here = out_block.len() / n;
             let a_panel = &self.data[i0 * kd..(i0 + rows_here) * kd];
-            kernels::mm_panel(a_panel, &packed, out_block, rows_here, kd, n, bias, act);
+            kernels::mm_panel::<f64>(a_panel, &packed, out_block, rows_here, kd, n, bias, act);
         };
         if m * n * kd < PAR_FLOPS_THRESHOLD {
             out.data
@@ -328,7 +328,7 @@ impl Tensor {
     /// Fused `self × rhsᵀ` (`m×k · (n×k)ᵀ → m×n`) without materializing the
     /// transpose: every output element is a dot product of two contiguous
     /// rows, split into fixed interleaved `mul_add` lanes (see
-    /// [`crate::kernels`]) so thread count never affects the result.
+    /// the `kernels` module) so thread count never affects the result.
     pub fn matmul_nt(&self, rhs: &Tensor) -> Tensor {
         let mut out = Tensor::zeros(self.rows, rhs.rows);
         self.matmul_nt_into(rhs, &mut out);
