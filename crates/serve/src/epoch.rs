@@ -81,12 +81,21 @@ impl<T> EpochCell<T> {
     /// ever contends with a reader that loaded an epoch two generations
     /// old and has not yet finished its `Arc` clone — it waits those
     /// nanoseconds out, not the other way around.
+    ///
+    /// The snapshot the slot held (two generations old) is dropped only
+    /// after the lock is released and the new epoch is visible: when this
+    /// held its last reference, freeing it can take milliseconds, and
+    /// neither that reader nor the new epoch waits for it.
     pub fn publish(&self, next: Arc<T>) -> u64 {
         let e = self.epoch.load(Ordering::Relaxed) + 1;
-        *self.slots[(e & 1) as usize]
-            .write()
-            .unwrap_or_else(|p| p.into_inner()) = next;
+        let replaced = std::mem::replace(
+            &mut *self.slots[(e & 1) as usize]
+                .write()
+                .unwrap_or_else(|p| p.into_inner()),
+            next,
+        );
         self.epoch.store(e, Ordering::Release);
+        drop(replaced);
         e
     }
 }

@@ -10,12 +10,17 @@
 //! to a cache that never held those entries is a no-op. That is what lets
 //! one writer broadcast the same plan to every shard without knowing which
 //! shard cached what.
+//!
+//! Nothing here hashes. Node indices are dense per type, so the closure
+//! keeps one `u8` distance per node ([`DirtyDistances`]), a plan reads
+//! those arrays out already sorted by `(type, node)`, merging plans is a
+//! sorted union, and [`PlanFilter`] indexes an array per type.
 
-use std::collections::HashMap;
+use std::cmp::Ordering;
 use std::sync::Arc;
 
 use relgraph_db2graph::GraphMapping;
-use relgraph_graph::{FeatureMatrix, HeteroGraph, NodeTypeId};
+use relgraph_graph::{HeteroGraph, NodeTypeId};
 use relgraph_store::Database;
 
 use crate::cache::{L1Cache, Lru};
@@ -34,8 +39,7 @@ pub struct TableGrowth {
 }
 
 /// Which tables grew, given the pre-ingest row counts. Call *after*
-/// `db.ingest` and *before* applying the graph delta (the pre-delta
-/// feature matrices must still be capturable from the old graph).
+/// `db.ingest`, with the mapping of the pre-delta graph.
 pub fn grown_tables(
     db: &Database,
     mapping: &GraphMapping,
@@ -57,32 +61,140 @@ pub fn grown_tables(
     Ok(grown)
 }
 
+/// The distance a [`DirtyDistances`] array holds for a node no seed reaches
+/// within the closure depth.
+const CLEAN: u8 = u8::MAX;
+
+/// The shortest distance from each `(type, node)` to a dirty seed, held
+/// densely: one `u8` per node in one array per node type, `u8::MAX` where
+/// no seed is within reach.
+///
+/// Node indices are dense per type by construction (rows are appended,
+/// never moved), so an array indexed by node is the whole map, and reading
+/// the arrays in `(type, node)` order yields a sorted plan without a sort.
+#[derive(Debug, Default)]
+pub struct DirtyDistances {
+    dist: Vec<Vec<u8>>,
+    len: usize,
+}
+
+impl DirtyDistances {
+    /// Every node of `graph` clean.
+    fn clean(graph: &HeteroGraph) -> Self {
+        DirtyDistances {
+            dist: (0..graph.num_node_types())
+                .map(|t| vec![CLEAN; graph.num_nodes(NodeTypeId(t))])
+                .collect(),
+            len: 0,
+        }
+    }
+
+    /// Give a clean node distance `d`; a node already reached keeps its
+    /// distance. True when the node was clean.
+    fn reach(&mut self, ty: usize, node: usize, d: u8) -> bool {
+        let slot = &mut self.dist[ty][node];
+        let fresh = *slot == CLEAN;
+        if fresh {
+            *slot = d;
+            self.len += 1;
+        }
+        fresh
+    }
+
+    /// Number of dirty nodes.
+    pub(crate) fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Distance from `(ty, node)` to the nearest seed; `None` when clean.
+    pub(crate) fn get(&self, ty: usize, node: usize) -> Option<usize> {
+        match self.dist.get(ty).and_then(|v| v.get(node)) {
+            Some(&d) if d != CLEAN => Some(usize::from(d)),
+            _ => None,
+        }
+    }
+
+    /// The dirty `(type, node, distance)` triples, ascending by
+    /// `(type, node)`.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (usize, usize, usize)> + '_ {
+        self.dist.iter().enumerate().flat_map(|(ty, v)| {
+            v.iter()
+                .enumerate()
+                .filter(|&(_, &d)| d != CLEAN)
+                .map(move |(node, &d)| (ty, node, usize::from(d)))
+        })
+    }
+}
+
+/// Collect `((type, node), distance)` pairs, growing the arrays to fit and
+/// keeping the minimum distance of a node named more than once.
+///
+/// Panics on a distance of `u8::MAX` or more; [`dirty_closure`] bounds
+/// every distance by `hops < u8::MAX`.
+impl FromIterator<((usize, usize), usize)> for DirtyDistances {
+    fn from_iter<I: IntoIterator<Item = ((usize, usize), usize)>>(iter: I) -> Self {
+        let mut out = DirtyDistances::default();
+        for ((ty, node), d) in iter {
+            let d = u8::try_from(d)
+                .ok()
+                .filter(|&d| d != CLEAN)
+                .expect("dirty distances are below u8::MAX");
+            if ty >= out.dist.len() {
+                out.dist.resize_with(ty + 1, Vec::new);
+            }
+            let row = &mut out.dist[ty];
+            if node >= row.len() {
+                row.resize(node + 1, CLEAN);
+            }
+            if row[node] == CLEAN {
+                out.len += 1;
+            }
+            row[node] = row[node].min(d);
+        }
+        out
+    }
+}
+
 /// Distance-0 dirty seeds plus their `hops`-hop closure over the
-/// post-delta `graph`. Returns the shortest distance from each affected
+/// post-delta `graph`: the shortest distance from each affected
 /// `(type, node)` to any seed.
 ///
-/// Seeds (distance 0) are: rows whose feature vector changed bitwise
-/// (z-score statistics shift on append), endpoints of new edges (their
-/// neighbor lists and windowed degrees changed), and the new rows
-/// themselves. `pre_features[i]` must be the pre-delta feature matrix of
-/// `growth[i].node_type`.
+/// Seeds (distance 0) are: rows whose feature vector differs bitwise from
+/// the pre-delta graph `prev` (z-score statistics shift on append),
+/// endpoints of new edges (their neighbor lists and windowed degrees
+/// changed), and the new rows themselves.
+///
+/// # Panics
+///
+/// If `hops >= u8::MAX`: distances are held as `u8`.
 pub fn dirty_closure(
     db: &Database,
+    prev: &HeteroGraph,
     graph: &HeteroGraph,
     mapping: &GraphMapping,
     growth: &[TableGrowth],
-    pre_features: &[FeatureMatrix],
     hops: usize,
-) -> ServeResult<HashMap<(usize, usize), usize>> {
-    let mut dist: HashMap<(usize, usize), usize> = HashMap::new();
-    for (g, pre) in growth.iter().zip(pre_features) {
+) -> ServeResult<DirtyDistances> {
+    assert!(
+        hops < usize::from(CLEAN),
+        "closure depth {hops} does not fit u8 distances"
+    );
+    let mut dist = DirtyDistances::clean(graph);
+    let mut frontier: Vec<(usize, usize)> = Vec::new();
+    let mut seed = |ty: usize, node: usize| {
+        if dist.reach(ty, node, 0) {
+            frontier.push((ty, node));
+        }
+    };
+    for g in growth {
         let nt = g.node_type;
+        let pre = prev.features(nt);
         let post = graph.features(nt);
         if pre.dim() != post.dim() {
             // The feature space itself changed (new hashed category, say):
             // every row of the type is dirty.
             for row in 0..post.rows() {
-                dist.insert((nt.0, row), 0);
+                seed(nt.0, row);
             }
             continue;
         }
@@ -93,11 +205,11 @@ pub fn dirty_closure(
                 .zip(post.row(row))
                 .any(|(a, b)| a.to_bits() != b.to_bits());
             if changed {
-                dist.insert((nt.0, row), 0);
+                seed(nt.0, row);
             }
         }
         for row in g.pre_len..post.rows() {
-            dist.insert((nt.0, row), 0);
+            seed(nt.0, row);
         }
         let table = &db.tables()[g.table_index];
         for fk in table.schema().foreign_keys() {
@@ -117,26 +229,23 @@ pub fn dirty_closure(
                     continue;
                 }
                 if let Some(dst) = target.row_by_key(&key) {
-                    dist.insert((target_nt.0, dst), 0);
+                    seed(target_nt.0, dst);
                 }
             }
         }
     }
 
     // BFS over the full adjacency; forward + reverse edge types make
-    // neighbor-of symmetric, and `dist` keeps the shortest distance.
-    let mut frontier: Vec<(usize, usize)> = dist.keys().copied().collect();
-    for d in 1..=hops {
-        let mut next = Vec::new();
+    // neighbor-of symmetric, and a node's first reach is its shortest
+    // distance.
+    let mut next = Vec::new();
+    for d in 1..=hops as u8 {
         for &(ty, node) in &frontier {
             for &et in graph.edge_types_from(NodeTypeId(ty)) {
                 let dst_ty = graph.edge_type(et).dst.0;
-                let (nbrs, _) = graph.neighbor_slices(et, node);
-                for &nbr in nbrs {
-                    let key = (dst_ty, nbr as usize);
-                    if let std::collections::hash_map::Entry::Vacant(e) = dist.entry(key) {
-                        e.insert(d);
-                        next.push(key);
+                for &nbr in graph.neighbor_slices(et, node).0 {
+                    if dist.reach(dst_ty, nbr as usize, d) {
+                        next.push((dst_ty, nbr as usize));
                     }
                 }
             }
@@ -144,7 +253,8 @@ pub fn dirty_closure(
         if next.is_empty() {
             break;
         }
-        frontier = next;
+        std::mem::swap(&mut frontier, &mut next);
+        next.clear();
     }
     Ok(dist)
 }
@@ -159,8 +269,9 @@ pub struct InvalidationPlan {
     /// Drop everything: the deploy anchor advanced or the graph was
     /// rebuilt, so no cached entry's inputs survived.
     pub flush: bool,
-    /// `(type, node, distance)` triples to evict precisely. Shared by
-    /// every shard, hence the `Arc`.
+    /// `(type, node, distance)` triples to evict precisely, ascending by
+    /// `(type, node)` with one triple per node. Shared by every shard,
+    /// hence the `Arc`.
     pub dirty: Arc<Vec<(usize, usize, usize)>>,
 }
 
@@ -174,12 +285,12 @@ impl InvalidationPlan {
         }
     }
 
-    /// A plan that evicts precisely, from a [`dirty_closure`] result.
-    pub fn precise(epoch: u64, dist: &HashMap<(usize, usize), usize>) -> Self {
-        let mut dirty: Vec<(usize, usize, usize)> =
-            dist.iter().map(|(&(ty, node), &d)| (ty, node, d)).collect();
-        // Deterministic order so every shard applies the identical plan.
-        dirty.sort_unstable();
+    /// A plan that evicts precisely, from a [`dirty_closure`] result. The
+    /// arrays are read in `(type, node)` order, so every shard applies the
+    /// identical, sorted plan.
+    pub fn precise(epoch: u64, dist: &DirtyDistances) -> Self {
+        let mut dirty = Vec::with_capacity(dist.len());
+        dirty.extend(dist.iter());
         InvalidationPlan {
             epoch,
             flush: false,
@@ -193,9 +304,10 @@ impl InvalidationPlan {
     /// * Any flush dominates: after a wholesale clear the cache holds
     ///   nothing for later precise evictions to remove, so the merged plan
     ///   is a flush.
-    /// * Otherwise dirty sets union, keeping the **minimum** distance per
-    ///   `(type, node)`: [`evict_dirty`] evicts levels `d..=hops`, and
-    ///   `min(d1, d2)..=hops` is exactly the union of the two ranges.
+    /// * Otherwise the sorted dirty lists union in one linear pass per
+    ///   plan, keeping the **minimum** distance per `(type, node)`:
+    ///   [`evict_dirty`] evicts levels `d..=hops`, and `min(d1, d2)..=hops`
+    ///   is exactly the union of the two ranges.
     /// * The merged epoch is the last plan's (plans are consecutive and
     ///   ascending), so applying it lands the cache on the same epoch the
     ///   sequence would have.
@@ -203,23 +315,55 @@ impl InvalidationPlan {
     /// This is what lets a shard that slept through N epochs — or a writer
     /// ingesting an N-batch group — pay one cache sweep instead of N.
     pub fn merge(plans: &[InvalidationPlan]) -> Option<InvalidationPlan> {
-        let last = plans.last()?;
-        if plans.len() == 1 {
+        let (last, rest) = plans.split_last()?;
+        if rest.is_empty() {
             return Some(last.clone());
         }
         if plans.iter().any(|p| p.flush) {
             return Some(InvalidationPlan::flush(last.epoch));
         }
-        let mut dist: HashMap<(usize, usize), usize> = HashMap::new();
-        for plan in plans {
-            for &(ty, node, d) in plan.dirty.iter() {
-                dist.entry((ty, node))
-                    .and_modify(|e| *e = (*e).min(d))
-                    .or_insert(d);
+        let dirty = plans[1..]
+            .iter()
+            .fold(plans[0].dirty.to_vec(), |acc, p| union_min(&acc, &p.dirty));
+        Some(InvalidationPlan {
+            epoch: last.epoch,
+            flush: false,
+            dirty: Arc::new(dirty),
+        })
+    }
+}
+
+/// Union two dirty lists sorted by `(type, node)`, keeping the minimum
+/// distance of a node both hold. The result is sorted, one triple per node.
+fn union_min(
+    a: &[(usize, usize, usize)],
+    b: &[(usize, usize, usize)],
+) -> Vec<(usize, usize, usize)> {
+    let sorted =
+        |v: &[(usize, usize, usize)]| v.windows(2).all(|w| (w[0].0, w[0].1) < (w[1].0, w[1].1));
+    debug_assert!(sorted(a) && sorted(b), "plans are sorted by (type, node)");
+    let mut out = Vec::with_capacity(a.len().max(b.len()));
+    let (mut i, mut j) = (0, 0);
+    while let (Some(&x), Some(&y)) = (a.get(i), b.get(j)) {
+        match (x.0, x.1).cmp(&(y.0, y.1)) {
+            Ordering::Less => {
+                out.push(x);
+                i += 1;
+            }
+            Ordering::Greater => {
+                out.push(y);
+                j += 1;
+            }
+            Ordering::Equal => {
+                out.push((x.0, x.1, x.2.min(y.2)));
+                i += 1;
+                j += 1;
             }
         }
-        Some(InvalidationPlan::precise(last.epoch, &dist))
     }
+    out.extend_from_slice(&a[i..]);
+    out.extend_from_slice(&b[j..]);
+    out
 }
 
 /// The normative eviction predicate of one (possibly merged) plan, in a
@@ -238,21 +382,22 @@ impl InvalidationPlan {
 /// Predictions count as level `hops` of the entity type.
 pub struct PlanFilter {
     flush: bool,
-    dist: HashMap<(usize, usize), usize>,
+    dist: DirtyDistances,
 }
 
 impl PlanFilter {
-    /// Compile `plan` into the predicate form (one hash per dirty node;
-    /// merged plans already keep the minimum distance per node).
+    /// Compile `plan` into the predicate form: its distances in one array
+    /// per node type, indexed by node (merged plans already keep the
+    /// minimum distance per node).
     pub fn new(plan: &InvalidationPlan) -> Self {
-        let mut dist = HashMap::new();
-        if !plan.flush {
-            for &(ty, node, d) in plan.dirty.iter() {
-                dist.entry((ty, node))
-                    .and_modify(|e: &mut usize| *e = (*e).min(d))
-                    .or_insert(d);
-            }
-        }
+        let dist = if plan.flush {
+            DirtyDistances::default()
+        } else {
+            plan.dirty
+                .iter()
+                .map(|&(ty, node, d)| ((ty, node), d))
+                .collect()
+        };
         PlanFilter {
             flush: plan.flush,
             dist,
@@ -267,7 +412,7 @@ impl PlanFilter {
     /// Must the embedding keyed `(ty, node, level)` be dropped under this
     /// plan?
     pub fn evicts(&self, ty: usize, node: usize, level: usize) -> bool {
-        self.flush || self.dist.get(&(ty, node)).is_some_and(|&d| level >= d)
+        self.flush || self.dist.get(ty, node).is_some_and(|d| level >= d)
     }
 }
 
@@ -302,6 +447,15 @@ pub fn evict_dirty(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::btree_map::Entry;
+    use std::collections::BTreeMap;
+
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use relgraph_db2graph::{build_graph, ConvertOptions};
+    use relgraph_graph::FeatureMatrix;
+    use relgraph_store::{DataType, Row, TableSchema, Value};
 
     fn precise(epoch: u64, entries: &[((usize, usize), usize)]) -> InvalidationPlan {
         InvalidationPlan::precise(epoch, &entries.iter().copied().collect())
@@ -363,5 +517,309 @@ mod tests {
         assert_eq!(m.epoch, 9);
         assert_eq!(*m.dirty, *a.dirty);
         assert!(InvalidationPlan::merge(&[]).is_none());
+    }
+
+    /// A dirty map ordered by `(type, node)`: the reference's container.
+    type RefDist = BTreeMap<(usize, usize), usize>;
+
+    /// A plan's `(type, node, distance)` list.
+    type Dirty = Vec<(usize, usize, usize)>;
+
+    /// The closure as first written, over an ordered map and with the
+    /// pre-delta feature matrices cloned out by the caller: the reference
+    /// the dense arrays must reproduce bit for bit.
+    fn reference_closure(
+        db: &Database,
+        graph: &HeteroGraph,
+        mapping: &GraphMapping,
+        growth: &[TableGrowth],
+        pre_features: &[FeatureMatrix],
+        hops: usize,
+    ) -> RefDist {
+        let mut dist = RefDist::new();
+        for (g, pre) in growth.iter().zip(pre_features) {
+            let nt = g.node_type;
+            let post = graph.features(nt);
+            if pre.dim() != post.dim() {
+                for row in 0..post.rows() {
+                    dist.insert((nt.0, row), 0);
+                }
+                continue;
+            }
+            for row in 0..g.pre_len.min(post.rows()) {
+                let changed = pre
+                    .row(row)
+                    .iter()
+                    .zip(post.row(row))
+                    .any(|(a, b)| a.to_bits() != b.to_bits());
+                if changed {
+                    dist.insert((nt.0, row), 0);
+                }
+            }
+            for row in g.pre_len..post.rows() {
+                dist.insert((nt.0, row), 0);
+            }
+            let table = &db.tables()[g.table_index];
+            for fk in table.schema().foreign_keys() {
+                let target = db.table(&fk.referenced_table).unwrap();
+                let target_nt = mapping.node_type(target.name()).unwrap();
+                let col = table.column_by_name(&fk.column).unwrap();
+                for row in g.pre_len..table.len() {
+                    let key = col.get(row);
+                    if key.is_null() {
+                        continue;
+                    }
+                    if let Some(dst) = target.row_by_key(&key) {
+                        dist.insert((target_nt.0, dst), 0);
+                    }
+                }
+            }
+        }
+        let mut frontier: Vec<(usize, usize)> = dist.keys().copied().collect();
+        for d in 1..=hops {
+            let mut next = Vec::new();
+            for &(ty, node) in &frontier {
+                for &et in graph.edge_types_from(NodeTypeId(ty)) {
+                    let dst_ty = graph.edge_type(et).dst.0;
+                    let (nbrs, _) = graph.neighbor_slices(et, node);
+                    for &nbr in nbrs {
+                        let key = (dst_ty, nbr as usize);
+                        if let Entry::Vacant(e) = dist.entry(key) {
+                            e.insert(d);
+                            next.push(key);
+                        }
+                    }
+                }
+            }
+            if next.is_empty() {
+                break;
+            }
+            frontier = next;
+        }
+        dist
+    }
+
+    /// A plan's dirty list as first built: collected, then sorted.
+    fn reference_dirty(dist: &RefDist) -> Dirty {
+        let mut dirty: Dirty = dist.iter().map(|(&(ty, node), &d)| (ty, node, d)).collect();
+        dirty.sort_unstable();
+        dirty
+    }
+
+    /// Minimum distance per node over `dirty`.
+    fn reference_min(dirty: &[(usize, usize, usize)], dist: &mut RefDist) {
+        for &(ty, node, d) in dirty {
+            dist.entry((ty, node))
+                .and_modify(|e| *e = (*e).min(d))
+                .or_insert(d);
+        }
+    }
+
+    /// `(flush, dirty)` of the merged plan, as first written.
+    fn reference_merge(plans: &[InvalidationPlan]) -> Option<(bool, Dirty)> {
+        let last = plans.last()?;
+        if plans.len() == 1 {
+            return Some((last.flush, last.dirty.to_vec()));
+        }
+        if plans.iter().any(|p| p.flush) {
+            return Some((true, Vec::new()));
+        }
+        let mut dist = RefDist::new();
+        for plan in plans {
+            reference_min(&plan.dirty, &mut dist);
+        }
+        Some((false, reference_dirty(&dist)))
+    }
+
+    /// `PlanFilter::evicts` as first written, over an ordered map.
+    struct ReferenceFilter {
+        flush: bool,
+        dist: RefDist,
+    }
+
+    impl ReferenceFilter {
+        fn new(plan: &InvalidationPlan) -> Self {
+            let mut dist = RefDist::new();
+            if !plan.flush {
+                reference_min(&plan.dirty, &mut dist);
+            }
+            ReferenceFilter {
+                flush: plan.flush,
+                dist,
+            }
+        }
+
+        fn evicts(&self, ty: usize, node: usize, level: usize) -> bool {
+            self.flush || self.dist.get(&(ty, node)).is_some_and(|&d| level >= d)
+        }
+    }
+
+    /// One table of a random database: its foreign keys as
+    /// `(column, target, nullable)`, and whether it has a text column (hashed,
+    /// so an append leaves old rows' features alone) and a numeric one
+    /// (z-scored, so an append rewrites every old row's features).
+    struct TableShape {
+        name: &'static str,
+        fks: &'static [(&'static str, &'static str, bool)],
+        text: bool,
+        numeric: bool,
+    }
+
+    /// Two or three tables: `a`, `b` referencing `a`, and optionally `c`
+    /// referencing `b` and (nullable) `a`.
+    fn random_shapes(rng: &mut StdRng) -> Vec<TableShape> {
+        let mut shapes = vec![
+            TableShape {
+                name: "a",
+                fks: &[],
+                text: true,
+                numeric: rng.gen_bool(0.5),
+            },
+            TableShape {
+                name: "b",
+                fks: &[("a_id", "a", false)],
+                text: rng.gen_bool(0.3),
+                numeric: rng.gen_bool(0.5),
+            },
+        ];
+        if rng.gen_bool(0.5) {
+            shapes.push(TableShape {
+                name: "c",
+                fks: &[("b_id", "b", false), ("a_id", "a", true)],
+                text: false,
+                numeric: rng.gen_bool(0.5),
+            });
+        }
+        shapes
+    }
+
+    fn random_database(rng: &mut StdRng, shapes: &[TableShape]) -> Database {
+        let mut db = Database::new("random");
+        for shape in shapes {
+            let mut schema = TableSchema::builder(shape.name).column("id", DataType::Int);
+            for &(col, _, nullable) in shape.fks {
+                schema = if nullable {
+                    schema.nullable_column(col, DataType::Int)
+                } else {
+                    schema.column(col, DataType::Int)
+                };
+            }
+            if shape.text {
+                schema = schema.column("tag", DataType::Text);
+            }
+            if shape.numeric {
+                schema = schema.column("v", DataType::Float);
+            }
+            schema = schema.primary_key("id");
+            for &(col, target, _) in shape.fks {
+                schema = schema.foreign_key(col, target);
+            }
+            db.create_table(schema.build().unwrap()).unwrap();
+        }
+        grow(rng, &mut db, shapes, 1);
+        db
+    }
+
+    /// Append `0..=3` rows per table (at least `min` each), parents first so
+    /// a new row may reference a new parent row.
+    fn grow(rng: &mut StdRng, db: &mut Database, shapes: &[TableShape], min: usize) {
+        for shape in shapes {
+            let extra = rng.gen_range(min..=3);
+            for _ in 0..extra {
+                let id = db.table(shape.name).unwrap().len() as i64;
+                let mut row = Row::new().push(id);
+                for &(_, target, nullable) in shape.fks {
+                    let targets = db.table(target).unwrap().len() as i64;
+                    row = if nullable && rng.gen_bool(0.3) {
+                        row.push(Value::Null)
+                    } else {
+                        row.push(rng.gen_range(0..targets))
+                    };
+                }
+                if shape.text {
+                    row = row.push(["x", "y", "z", "w", "v"][rng.gen_range(0..5usize)]);
+                }
+                if shape.numeric {
+                    row = row.push(rng.gen_range(-4.0..4.0f64));
+                }
+                db.insert(shape.name, row).unwrap();
+            }
+        }
+    }
+
+    fn options(text_hash_dim: usize) -> ConvertOptions {
+        ConvertOptions {
+            text_hash_dim,
+            ..ConvertOptions::default()
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// Random 2–3-type databases grown in 1–4 steps: each step's dense
+        /// closure and plan equal the reference's, order included (new
+        /// rows, FK endpoints, z-score shifts, and now and then a hash
+        /// width change that dirties a whole type, at `hops` 0–3); the
+        /// steps' plans merge to the reference merge; and the array
+        /// filter agrees with the reference filter on every
+        /// `(type, node, level)`, out-of-range keys included.
+        fn dense_plans_match_the_reference(seed in any::<u64>()) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let shapes = random_shapes(&mut rng);
+            let mut db = random_database(&mut rng, &shapes);
+            let hops = rng.gen_range(0..=3usize);
+            let steps = rng.gen_range(1..=4usize);
+            let mut plans = Vec::new();
+            let mut sizes = Vec::new();
+            for step in 0..steps {
+                let (prev, mapping) = build_graph(&db, &options(4)).unwrap();
+                let pre_lens: Vec<usize> = db.tables().iter().map(|t| t.len()).collect();
+                grow(&mut rng, &mut db, &shapes, 0);
+                let growth = grown_tables(&db, &mapping, &pre_lens).unwrap();
+                let dim = if rng.gen_bool(0.2) { 8 } else { 4 };
+                let (graph, mapping) = build_graph(&db, &options(dim)).unwrap();
+                let pre_features: Vec<FeatureMatrix> = growth
+                    .iter()
+                    .map(|g| prev.features(g.node_type).clone())
+                    .collect();
+                let dense = dirty_closure(&db, &prev, &graph, &mapping, &growth, hops).unwrap();
+                let reference =
+                    reference_closure(&db, &graph, &mapping, &growth, &pre_features, hops);
+                prop_assert_eq!(dense.len(), reference.len());
+                let plan = if rng.gen_bool(0.1) {
+                    InvalidationPlan::flush(step as u64 + 1)
+                } else {
+                    InvalidationPlan::precise(step as u64 + 1, &dense)
+                };
+                if !plan.flush {
+                    prop_assert_eq!(&*plan.dirty, &reference_dirty(&reference));
+                }
+                sizes = (0..graph.num_node_types())
+                    .map(|t| graph.num_nodes(NodeTypeId(t)))
+                    .collect();
+                plans.push(plan);
+            }
+            let merged = InvalidationPlan::merge(&plans).unwrap();
+            let (flush, dirty) = reference_merge(&plans).unwrap();
+            prop_assert_eq!(merged.epoch, steps as u64);
+            prop_assert_eq!(merged.flush, flush);
+            prop_assert_eq!(&*merged.dirty, &dirty);
+            for plan in plans.iter().chain([&merged]) {
+                let filter = PlanFilter::new(plan);
+                let reference = ReferenceFilter::new(plan);
+                for ty in 0..=sizes.len() {
+                    for node in 0..=sizes.get(ty).copied().unwrap_or(0) {
+                        for level in 0..=hops + 1 {
+                            prop_assert_eq!(
+                                filter.evicts(ty, node, level),
+                                reference.evicts(ty, node, level),
+                                "filters disagree at ({}, {}, {})", ty, node, level
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 }

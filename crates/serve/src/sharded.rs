@@ -58,7 +58,7 @@ use relgraph_db2graph::{
     build_graph, update_graph_snapshot, ConvertOptions, GraphCursor, GraphMapping,
 };
 use relgraph_gnn::NodeModel;
-use relgraph_graph::{FeatureMatrix, HeteroGraph, NodeTypeId};
+use relgraph_graph::{HeteroGraph, NodeTypeId};
 use relgraph_obs as obs;
 use relgraph_pq::{ExecConfig, PreparedQuery};
 use relgraph_store::{Database, IngestPolicy, RowBatch, Timestamp, Value};
@@ -559,16 +559,19 @@ impl ShardedEngine {
             reports: Vec::with_capacity(batches.len()),
             ..Default::default()
         };
-        for batch in batches {
-            match w.db.ingest(batch, policy) {
-                Ok(report) => {
-                    group.outcome.report.accepted += report.accepted;
-                    group.outcome.report.coerced += report.coerced;
-                    group.outcome.report.late += report.late;
-                    group.outcome.report.quarantined += report.quarantined;
-                    group.reports.push(Ok(report));
+        {
+            let _span = obs::span("serve.ingest.apply");
+            for batch in batches {
+                match w.db.ingest(batch, policy) {
+                    Ok(report) => {
+                        group.outcome.report.accepted += report.accepted;
+                        group.outcome.report.coerced += report.coerced;
+                        group.outcome.report.late += report.late;
+                        group.outcome.report.quarantined += report.quarantined;
+                        group.reports.push(Ok(report));
+                    }
+                    Err(e) => group.reports.push(Err(e)),
                 }
-                Err(e) => group.reports.push(Err(e)),
             }
         }
         if group.accepted_batches() == 0 {
@@ -581,68 +584,80 @@ impl ShardedEngine {
         }
         let outcome = &mut group.outcome;
         let grown = grown_tables(&w.db, &w.mapping, &pre_lens)?;
-        let pre_features: Vec<FeatureMatrix> = grown
-            .iter()
-            .map(|g| prev.graph.features(g.node_type).clone())
-            .collect();
         let next_epoch = w.epoch + 1;
-        let (graph, plan) =
-            match update_graph_snapshot(&w.db, &prev.graph, &w.mapping, &w.cursor, &w.opts) {
-                Ok((graph, mapping, cursor, delta)) => {
-                    outcome.delta = delta;
-                    let new_anchor = deploy_anchor(&w.db);
-                    let plan = if new_anchor != w.anchor {
-                        // Anchor advance: every cached value took the anchor
-                        // as an input; every shard flushes.
-                        outcome.flushed = true;
-                        InvalidationPlan::flush(next_epoch)
-                    } else {
-                        let dist = dirty_closure(
-                            &w.db,
-                            &graph,
-                            &mapping,
-                            &grown,
-                            &pre_features,
-                            self.shared.hops,
-                        )?;
-                        outcome.dirty_nodes = dist.len();
-                        InvalidationPlan::precise(next_epoch, &dist)
-                    };
-                    w.mapping = mapping;
-                    w.cursor = cursor;
-                    w.anchor = new_anchor;
-                    (graph, plan)
-                }
-                Err(_) => {
-                    // The failed delta only touched its private clone; rebuild
-                    // from the database and flush every shard.
-                    let (graph, mapping) = build_graph(&w.db, &w.opts)?;
-                    w.mapping = mapping;
-                    w.cursor = GraphCursor::capture(&w.db);
-                    w.anchor = deploy_anchor(&w.db);
-                    outcome.rebuilt = true;
+        let delta = {
+            let _span = obs::span("serve.ingest.delta");
+            update_graph_snapshot(&w.db, &prev.graph, &w.mapping, &w.cursor, &w.opts)
+        };
+        let (graph, plan) = match delta {
+            Ok((graph, mapping, cursor, delta)) => {
+                outcome.delta = delta;
+                let new_anchor = deploy_anchor(&w.db);
+                let plan = if new_anchor != w.anchor {
+                    // Anchor advance: every cached value took the anchor
+                    // as an input; every shard flushes.
                     outcome.flushed = true;
-                    (graph, InvalidationPlan::flush(next_epoch))
-                }
-            };
+                    InvalidationPlan::flush(next_epoch)
+                } else {
+                    let _span = obs::span("serve.ingest.closure");
+                    // `prev.graph` is the pre-delta graph the closure diffs
+                    // features against: the delta built a new graph and
+                    // left the published one untouched.
+                    let dist = dirty_closure(
+                        &w.db,
+                        &prev.graph,
+                        &graph,
+                        &mapping,
+                        &grown,
+                        self.shared.hops,
+                    )?;
+                    outcome.dirty_nodes = dist.len();
+                    InvalidationPlan::precise(next_epoch, &dist)
+                };
+                w.mapping = mapping;
+                w.cursor = cursor;
+                w.anchor = new_anchor;
+                (graph, plan)
+            }
+            Err(_) => {
+                // The failed delta only touched its private clone; rebuild
+                // from the database and flush every shard.
+                let (graph, mapping) = build_graph(&w.db, &w.opts)?;
+                w.mapping = mapping;
+                w.cursor = GraphCursor::capture(&w.db);
+                w.anchor = deploy_anchor(&w.db);
+                outcome.rebuilt = true;
+                outcome.flushed = true;
+                (graph, InvalidationPlan::flush(next_epoch))
+            }
+        };
         // Evict and republish the shared L2 tier *before* the graph
         // snapshot below: a reader that acquires epoch `next_epoch` must
         // already see an L2 at `next_epoch` (never a stale one) — see the
         // coherence protocol in the `l2` module docs.
-        self.shared.l2.apply_plan(&plan);
+        {
+            let _span = obs::span("serve.l2.apply_plan");
+            self.shared.l2.apply_plan(&plan);
+        }
         w.epoch = next_epoch;
         w.plans.push_back(plan);
         while w.plans.len() > PLAN_HISTORY {
             w.plans.pop_front();
         }
-        let snapshot = GraphSnapshot {
-            epoch: next_epoch,
-            db: w.db.clone(),
-            graph, // moved, not cloned: the writer keeps no copy
-            anchor: w.anchor,
-            plans: w.plans.iter().cloned().collect(),
+        let snapshot = {
+            let _span = obs::span("serve.ingest.snapshot");
+            GraphSnapshot {
+                epoch: next_epoch,
+                db: w.db.clone(),
+                graph, // moved, not cloned: the writer keeps no copy
+                anchor: w.anchor,
+                plans: w.plans.iter().cloned().collect(),
+            }
         };
-        self.shared.cell.publish(Arc::new(snapshot));
+        {
+            let _span = obs::span("serve.ingest.swap");
+            self.shared.cell.publish(Arc::new(snapshot));
+        }
         if obs::enabled() {
             obs::add("serve.ingest.dirty_nodes", outcome.dirty_nodes as u64);
             obs::add("serve.epoch.published", 1);
