@@ -2,6 +2,8 @@
 //!
 //! Each [`Column`] stores a single table column as a dense typed vector plus
 //! a validity mask, so scans touch contiguous memory instead of boxed values.
+//! Text is no exception: every cell's bytes live in one buffer, so cloning
+//! or freeing a column costs a handful of allocations, not one per cell.
 
 use crate::value::{DataType, Timestamp, Value};
 
@@ -16,8 +18,12 @@ pub enum Column {
         data: Vec<f64>,
         valid: Vec<bool>,
     },
+    /// Every cell's UTF-8 bytes back to back in `bytes`; cell `i` is
+    /// `bytes[ends[i - 1]..ends[i]]` (from 0 for the first cell). A NULL
+    /// cell appends no bytes, so two columns with equal cells are equal.
     Text {
-        data: Vec<String>,
+        bytes: String,
+        ends: Vec<usize>,
         valid: Vec<bool>,
     },
     Bool {
@@ -28,6 +34,12 @@ pub enum Column {
         data: Vec<Timestamp>,
         valid: Vec<bool>,
     },
+}
+
+/// Cell `i` of a contiguous text column.
+fn text_cell<'a>(bytes: &'a str, ends: &[usize], i: usize) -> &'a str {
+    let lo = if i == 0 { 0 } else { ends[i - 1] };
+    &bytes[lo..ends[i]]
 }
 
 impl Column {
@@ -43,7 +55,8 @@ impl Column {
                 valid: Vec::new(),
             },
             DataType::Text => Column::Text {
-                data: Vec::new(),
+                bytes: String::new(),
+                ends: Vec::new(),
                 valid: Vec::new(),
             },
             DataType::Bool => Column::Bool {
@@ -69,7 +82,8 @@ impl Column {
                 valid: Vec::with_capacity(cap),
             },
             DataType::Text => Column::Text {
-                data: Vec::with_capacity(cap),
+                bytes: String::new(),
+                ends: Vec::with_capacity(cap),
                 valid: Vec::with_capacity(cap),
             },
             DataType::Bool => Column::Bool {
@@ -98,7 +112,8 @@ impl Column {
                 valid: vec![false; len],
             },
             DataType::Text => Column::Text {
-                data: vec![String::new(); len],
+                bytes: String::new(),
+                ends: vec![0; len],
                 valid: vec![false; len],
             },
             DataType::Bool => Column::Bool {
@@ -150,6 +165,28 @@ impl Column {
         }
     }
 
+    /// Reserve room for `additional` more cells (text bytes grow on push).
+    pub(crate) fn reserve(&mut self, additional: usize) {
+        match self {
+            Column::Int { data, valid } | Column::Timestamp { data, valid } => {
+                data.reserve(additional);
+                valid.reserve(additional);
+            }
+            Column::Float { data, valid } => {
+                data.reserve(additional);
+                valid.reserve(additional);
+            }
+            Column::Text { ends, valid, .. } => {
+                ends.reserve(additional);
+                valid.reserve(additional);
+            }
+            Column::Bool { data, valid } => {
+                data.reserve(additional);
+                valid.reserve(additional);
+            }
+        }
+    }
+
     /// Append a value. The caller must have checked type conformance;
     /// a mismatched value is recorded as NULL (this is a programming error
     /// guarded upstream by [`crate::table::Table::insert`]).
@@ -163,8 +200,9 @@ impl Column {
                 data.push(*x);
                 valid.push(true);
             }
-            (Column::Text { data, valid }, Value::Text(x)) => {
-                data.push(x.clone());
+            (Column::Text { bytes, ends, valid }, Value::Text(x)) => {
+                bytes.push_str(x);
+                ends.push(bytes.len());
                 valid.push(true);
             }
             (Column::Bool { data, valid }, Value::Bool(x)) => {
@@ -184,8 +222,8 @@ impl Column {
                     data.push(0.0);
                     valid.push(false);
                 }
-                Column::Text { data, valid } => {
-                    data.push(String::new());
+                Column::Text { bytes, ends, valid } => {
+                    ends.push(bytes.len());
                     valid.push(false);
                 }
                 Column::Bool { data, valid } => {
@@ -200,6 +238,19 @@ impl Column {
         }
     }
 
+    /// Append a text cell (`None` is NULL) without building a [`Value`].
+    /// Like [`push`](Self::push), a non-text column records NULL.
+    pub(crate) fn push_str(&mut self, s: Option<&str>) {
+        match (self, s) {
+            (Column::Text { bytes, ends, valid }, s) => {
+                bytes.push_str(s.unwrap_or(""));
+                ends.push(bytes.len());
+                valid.push(s.is_some());
+            }
+            (col, _) => col.push(&Value::Null),
+        }
+    }
+
     /// Cell at position `i` as a [`Value`] (NULL for invalid/out-of-range).
     pub fn get(&self, i: usize) -> Value {
         if !self.is_valid(i) {
@@ -208,7 +259,7 @@ impl Column {
         match self {
             Column::Int { data, .. } => Value::Int(data[i]),
             Column::Float { data, .. } => Value::Float(data[i]),
-            Column::Text { data, .. } => Value::Text(data[i].clone()),
+            Column::Text { bytes, ends, .. } => Value::Text(text_cell(bytes, ends, i).to_string()),
             Column::Bool { data, .. } => Value::Bool(data[i]),
             Column::Timestamp { data, .. } => Value::Timestamp(data[i]),
         }
@@ -251,7 +302,7 @@ impl Column {
             return None;
         }
         match self {
-            Column::Text { data, .. } => Some(&data[i]),
+            Column::Text { bytes, ends, .. } => Some(text_cell(bytes, ends, i)),
             _ => None,
         }
     }

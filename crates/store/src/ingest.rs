@@ -30,6 +30,7 @@ use relgraph_obs as obs;
 use crate::database::Database;
 use crate::error::{StoreError, StoreResult};
 use crate::row::Row;
+use crate::table::PkKey;
 use crate::value::{DataType, Timestamp, Value};
 
 /// What to do when a batch row violates one of the validation checks.
@@ -242,7 +243,7 @@ fn coerce_value(v: &Value, ty: DataType) -> Option<Value> {
 #[derive(Default)]
 struct Staged {
     rows: Vec<Row>,
-    keys: HashSet<String>,
+    keys: HashSet<PkKey>,
     /// Highest timestamp staged so far (tables with a time column only).
     watermark: Option<Timestamp>,
 }
@@ -257,12 +258,10 @@ impl Database {
     /// [`IngestReport`].
     pub fn ingest(&mut self, batch: RowBatch, policy: &IngestPolicy) -> StoreResult<IngestReport> {
         let _span = obs::span("store.ingest");
-        // Per-table watermark of rows already in the database, computed at
-        // most once per table (a time-span scan is O(rows)).
-        let mut existing_watermark: HashMap<String, Option<Timestamp>> = HashMap::new();
-        let mut staged: HashMap<String, Staged> = HashMap::new();
+        // Staged rows per destination table, keyed by the batch's own names.
+        let mut staged: HashMap<&str, Staged> = HashMap::new();
         // Tables in batch-arrival order so the apply phase is deterministic.
-        let mut staged_order: Vec<String> = Vec::new();
+        let mut staged_order: Vec<&str> = Vec::new();
         let mut quarantined: Vec<QuarantinedRow> = Vec::new();
         let mut report = IngestReport::default();
 
@@ -280,7 +279,7 @@ impl Database {
                     deferred: table.deferred_columns().to_vec(),
                 });
             }
-            let schema = table.schema().clone();
+            let schema = table.schema();
             let mut row = row.clone();
             let mut cell_coerced = false;
             let mut late = false;
@@ -363,11 +362,11 @@ impl Database {
                 if key.is_null() {
                     offend!(policy.on_type_mismatch, "NULL primary key".to_string());
                 }
-                let gk = key.group_key();
-                let dup_in_table = table.row_by_key(key).is_some();
+                let pk = PkKey::of(key).expect("NULL key handled above");
+                let dup_in_table = table.row_by_pk(&pk).is_some();
                 let dup_in_batch = staged
                     .get(table_name.as_str())
-                    .is_some_and(|s| s.keys.contains(&gk));
+                    .is_some_and(|s| s.keys.contains(&pk));
                 if dup_in_table || dup_in_batch {
                     // A key collision has no repair; Coerce degrades to
                     // quarantine.
@@ -385,14 +384,14 @@ impl Database {
                     .column_index(&fk.column)
                     .expect("schema guarantees the FK column exists");
                 let key = &row[ci];
-                if key.is_null() {
+                let Some(pk) = PkKey::of(key) else {
                     continue;
-                }
+                };
                 let target = self.table(&fk.referenced_table)?;
-                let exists = target.row_by_key(key).is_some()
+                let exists = target.row_by_pk(&pk).is_some()
                     || staged
                         .get(fk.referenced_table.as_str())
-                        .is_some_and(|s| s.keys.contains(&key.group_key()));
+                        .is_some_and(|s| s.keys.contains(&pk));
                 if exists {
                     continue;
                 }
@@ -412,12 +411,10 @@ impl Database {
             }
 
             // -- out-of-order timestamps, against the table's watermark
-            // (existing rows plus rows staged so far).
+            // (the kept span of existing rows plus rows staged so far).
             if let Some(tc) = schema.time_column_index() {
                 if let Some(ts) = row[tc].as_timestamp() {
-                    let existing = *existing_watermark
-                        .entry(table_name.clone())
-                        .or_insert_with(|| table.time_span().map(|(_, hi)| hi));
+                    let existing = table.time_span().map(|(_, hi)| hi);
                     let staged_hi = staged.get(table_name.as_str()).and_then(|s| s.watermark);
                     let watermark = match (existing, staged_hi) {
                         (Some(a), Some(b)) => Some(a.max(b)),
@@ -442,11 +439,11 @@ impl Database {
 
             // -- stage the validated row.
             if !staged.contains_key(table_name.as_str()) {
-                staged_order.push(table_name.clone());
+                staged_order.push(table_name);
             }
-            let entry = staged.entry(table_name.clone()).or_default();
-            if let Some(pk) = pk_index {
-                entry.keys.insert(row[pk].group_key());
+            let entry = staged.entry(table_name).or_default();
+            if let Some(k) = pk_index.and_then(|pk| PkKey::of(&row[pk])) {
+                entry.keys.insert(k);
             }
             if let Some(tc) = schema.time_column_index() {
                 if let Some(ts) = row[tc].as_timestamp() {
@@ -462,8 +459,8 @@ impl Database {
         // Apply phase: every staged row was fully validated, so inserts
         // cannot fail; an error here would be a validator bug and is
         // propagated as-is.
-        for table_name in &staged_order {
-            let rows = staged.remove(table_name.as_str()).expect("staged");
+        for table_name in staged_order {
+            let rows = staged.remove(table_name).expect("staged");
             for row in rows.rows {
                 self.insert(table_name, row)?;
             }

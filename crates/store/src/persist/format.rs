@@ -816,9 +816,10 @@ pub fn write_column_file(path: &Path, col: &Column, dict: &mut DictBuilder) -> S
                 w.push_parts(0, 0.0, *v, 0, ok)?;
             }
         }
-        Column::Text { data, valid } => {
-            for (v, &ok) in data.iter().zip(valid) {
-                let id = dict.intern(v);
+        Column::Text { valid, .. } => {
+            // A NULL cell interns "", exactly as the streamed writers do.
+            for (i, &ok) in valid.iter().enumerate() {
+                let id = dict.intern(col.get_str(i).unwrap_or(""));
                 w.push_parts(0, 0.0, false, id, ok)?;
             }
         }
@@ -936,8 +937,8 @@ pub fn read_column_file(path: &Path, dict: &[String]) -> StoreResult<Column> {
             valid,
         },
         DataType::Text => {
-            let mut out = Vec::with_capacity(n);
-            for i in 0..n {
+            let mut col = Column::with_capacity(DataType::Text, n);
+            for (i, &ok) in valid.iter().enumerate() {
                 let id = u32::from_le_bytes(data[i * 4..i * 4 + 4].try_into().unwrap()) as usize;
                 let s = dict.get(id).ok_or_else(|| StoreError::Corrupt {
                     file: file.clone(),
@@ -946,9 +947,9 @@ pub fn read_column_file(path: &Path, dict: &[String]) -> StoreResult<Column> {
                         dict.len()
                     ),
                 })?;
-                out.push(s.clone());
+                col.push_str(ok.then_some(s.as_str()));
             }
-            Column::Text { data: out, valid }
+            col
         }
     })
 }

@@ -8,6 +8,43 @@ use crate::row::Row;
 use crate::schema::TableSchema;
 use crate::value::{Timestamp, Value};
 
+/// A primary-key value as the index holds it. Two keys are equal exactly
+/// when the values' [`Value::group_key`]s are equal, but building one
+/// formats no string: only a text key owns a heap allocation.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub(crate) enum PkKey {
+    Int(i64),
+    Timestamp(Timestamp),
+    /// The float's bits, with every NaN made one canonical NaN: `group_key`
+    /// prints every NaN as `NaN`, and `0.0` and `-0.0` differently.
+    Float(u64),
+    Bool(bool),
+    Text(Box<str>),
+}
+
+impl PkKey {
+    /// The key for `v`; `None` for NULL, which no primary key holds.
+    pub(crate) fn of(v: &Value) -> Option<PkKey> {
+        Some(match v {
+            Value::Null => return None,
+            Value::Int(i) => PkKey::Int(*i),
+            Value::Timestamp(t) => PkKey::Timestamp(*t),
+            Value::Float(f) if f.is_nan() => PkKey::Float(f64::NAN.to_bits()),
+            Value::Float(f) => PkKey::Float(f.to_bits()),
+            Value::Bool(b) => PkKey::Bool(*b),
+            Value::Text(s) => PkKey::Text(s.as_str().into()),
+        })
+    }
+}
+
+/// Widen `span` to cover `t`.
+fn widen(span: &mut Option<(Timestamp, Timestamp)>, t: Timestamp) {
+    *span = Some(match *span {
+        None => (t, t),
+        Some((lo, hi)) => (lo.min(t), hi.max(t)),
+    });
+}
+
 /// A single table: schema + typed columns + primary-key index.
 ///
 /// Rows are append-only and identified by their insertion index
@@ -16,8 +53,11 @@ use crate::value::{Timestamp, Value};
 pub struct Table {
     schema: TableSchema,
     columns: Vec<Column>,
-    /// Map from primary-key value (its [`Value::group_key`]) to row index.
-    pk_index: HashMap<String, usize>,
+    /// Map from primary-key value to row index.
+    pk_index: HashMap<PkKey, usize>,
+    /// `(min, max)` of the non-null time cells, kept by every insert so
+    /// [`time_span`](Self::time_span) is O(1).
+    span: Option<(Timestamp, Timestamp)>,
     /// Names of columns whose cells are deferred all-NULL placeholders
     /// from a partial base load (`DataDir::open_columns`) rather than real
     /// data. Non-empty only on partially-loaded tables, which refuse
@@ -37,6 +77,7 @@ impl Table {
             schema,
             columns,
             pk_index: HashMap::new(),
+            span: None,
             deferred: Vec::new(),
         }
     }
@@ -85,15 +126,8 @@ impl Table {
     pub fn reserve(&mut self, additional: usize) {
         // Columns grow independently; reserving on each avoids repeated
         // reallocation during bulk loads.
-        let want = self.len() + additional;
-        for (def, col) in self.schema.columns().iter().zip(self.columns.iter_mut()) {
-            let mut fresh = Column::with_capacity(def.data_type, want);
-            std::mem::swap(col, &mut fresh);
-            // Re-append existing cells into the reserved column.
-            for i in 0..fresh.len() {
-                let v = fresh.get(i);
-                col.push(&v);
-            }
+        for col in &mut self.columns {
+            col.reserve(additional);
         }
         self.pk_index.reserve(additional);
     }
@@ -134,14 +168,21 @@ impl Table {
                     table: self.name().to_string(),
                 });
             }
-            let gk = key.group_key();
-            if self.pk_index.contains_key(&gk) {
+            let pk = PkKey::of(key).expect("NULL key rejected above");
+            if self.pk_index.contains_key(&pk) {
                 return Err(StoreError::DuplicateKey {
                     table: self.name().to_string(),
                     key: key.to_string(),
                 });
             }
-            self.pk_index.insert(gk, self.len());
+            self.pk_index.insert(pk, self.len());
+        }
+        if let Some(t) = self
+            .schema
+            .time_column_index()
+            .and_then(|tc| row[tc].as_timestamp())
+        {
+            widen(&mut self.span, t);
         }
         let idx = self.len();
         for (col, v) in self.columns.iter_mut().zip(row.values()) {
@@ -174,12 +215,12 @@ impl Table {
             pk_index.reserve(n);
             for i in 0..n {
                 let key = columns[pk].get(i);
-                if key.is_null() {
+                let Some(k) = PkKey::of(&key) else {
                     return Err(StoreError::NullKey {
                         table: schema.name().to_string(),
                     });
-                }
-                if pk_index.insert(key.group_key(), i).is_some() {
+                };
+                if pk_index.insert(k, i).is_some() {
                     return Err(StoreError::DuplicateKey {
                         table: schema.name().to_string(),
                         key: key.to_string(),
@@ -187,10 +228,17 @@ impl Table {
                 }
             }
         }
+        let mut span = None;
+        if let Some(tc) = schema.time_column_index() {
+            for t in (0..n).filter_map(|i| columns[tc].get_timestamp(i)) {
+                widen(&mut span, t);
+            }
+        }
         Ok(Table {
             schema,
             columns,
             pk_index,
+            span,
             deferred: Vec::new(),
         })
     }
@@ -239,7 +287,12 @@ impl Table {
 
     /// Look up the row index holding primary key `key`.
     pub fn row_by_key(&self, key: &Value) -> Option<usize> {
-        self.pk_index.get(&key.group_key()).copied()
+        self.row_by_pk(&PkKey::of(key)?)
+    }
+
+    /// Look up the row index holding an already-built key.
+    pub(crate) fn row_by_pk(&self, key: &PkKey) -> Option<usize> {
+        self.pk_index.get(key).copied()
     }
 
     /// The event/creation timestamp of row `i`, if the table has a time
@@ -249,20 +302,11 @@ impl Table {
         self.columns[tc].get_timestamp(i)
     }
 
-    /// Minimum and maximum non-null timestamps over the time column.
+    /// Minimum and maximum non-null timestamps over the time column. O(1):
+    /// the span is kept by [`insert`](Self::insert) and computed once on
+    /// reload.
     pub fn time_span(&self) -> Option<(Timestamp, Timestamp)> {
-        let tc = self.schema.time_column_index()?;
-        let col = &self.columns[tc];
-        let mut span: Option<(Timestamp, Timestamp)> = None;
-        for i in 0..col.len() {
-            if let Some(t) = col.get_timestamp(i) {
-                span = Some(match span {
-                    None => (t, t),
-                    Some((lo, hi)) => (lo.min(t), hi.max(t)),
-                });
-            }
-        }
-        span
+        self.span
     }
 }
 

@@ -278,6 +278,71 @@ mod tests {
         assert_eq!(Value::Int(1).group_key(), Value::Int(1).group_key());
     }
 
+    /// Values drawn from small domains so equal group keys come up often:
+    /// `Int`/`Timestamp` share a range, floats include both zeros, NaNs with
+    /// different payloads and infinities, text includes "" and multi-byte.
+    fn clashing_value() -> impl proptest::strategy::Strategy<Value = Value> {
+        use proptest::prelude::*;
+        prop_oneof![
+            Just(Value::Null),
+            (-3i64..3).prop_map(Value::Int),
+            (-3i64..3).prop_map(Value::Timestamp),
+            prop_oneof![
+                Just(0.0f64),
+                Just(-0.0),
+                Just(1.5),
+                Just(f64::INFINITY),
+                Just(f64::NEG_INFINITY),
+                (0u64..4).prop_map(|p| f64::from_bits(f64::NAN.to_bits() | p)),
+                (0u64..4).prop_map(|p| -f64::from_bits(f64::NAN.to_bits() | p)),
+            ]
+            .prop_map(Value::Float),
+            any::<bool>().prop_map(Value::Bool),
+            prop_oneof![Just(""), Just("a"), Just("é"), Just("日本"), Just("i1")]
+                .prop_map(Value::from),
+        ]
+    }
+
+    fn same_pk(a: &Value, b: &Value) -> bool {
+        use crate::table::PkKey;
+        PkKey::of(a) == PkKey::of(b)
+    }
+
+    #[test]
+    fn pk_keys_agree_with_group_keys_on_fixed_cases() {
+        let nan_a = f64::from_bits(f64::NAN.to_bits() | 1);
+        let nan_b = f64::from_bits(f64::NAN.to_bits() | 2);
+        let cases = [
+            (Value::Int(5), Value::Timestamp(5)),
+            (Value::Float(0.0), Value::Float(-0.0)),
+            (Value::Float(nan_a), Value::Float(nan_b)),
+            (Value::Float(nan_a), Value::Float(-nan_a)),
+            (Value::from(""), Value::from("")),
+            (Value::from(""), Value::Null),
+            (Value::from("日本"), Value::from("日本")),
+            (Value::from("日本"), Value::from("日")),
+            (Value::Int(1), Value::Float(1.0)),
+            (Value::Bool(true), Value::Bool(true)),
+        ];
+        for (a, b) in &cases {
+            assert_eq!(
+                same_pk(a, b),
+                a.group_key() == b.group_key(),
+                "{a:?} vs {b:?}"
+            );
+        }
+        assert!(same_pk(&Value::Float(nan_a), &Value::Float(nan_b)));
+        assert!(!same_pk(&Value::Float(0.0), &Value::Float(-0.0)));
+        assert!(!same_pk(&Value::Int(5), &Value::Timestamp(5)));
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn pk_keys_agree_with_group_keys(a in clashing_value(), b in clashing_value()) {
+            proptest::prop_assert_eq!(same_pk(&a, &b), a.group_key() == b.group_key());
+        }
+    }
+
     #[test]
     fn display_round_trips_visually() {
         assert_eq!(Value::Int(-4).to_string(), "-4");
