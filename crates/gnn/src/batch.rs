@@ -1,11 +1,8 @@
 //! Sampled subgraph → dense tensors.
 
-use relgraph_graph::sampler::DEGREE_WINDOWS_DAYS;
+use relgraph_graph::sampler::{DEGREE_WINDOWS_DAYS, SECONDS_PER_DAY};
 use relgraph_graph::{HeteroGraph, NodeTypeId, SampledSubgraph, ALWAYS_VISIBLE};
 use relgraph_tensor::Tensor;
-
-/// Seconds per day (the unit of predictive-query windows).
-const SECONDS_PER_DAY: i64 = 86_400;
 
 /// A mini-batch ready for the GNN: per-node-type feature tensors plus the
 /// subgraph's connectivity. Feature layout per node: the node type's raw
@@ -50,35 +47,49 @@ pub fn input_dims(graph: &HeteroGraph) -> Vec<usize> {
         .collect()
 }
 
+/// Write the level-0 input row of `node` (of type `ty`) seen from
+/// `anchor` into `row`, which is zeroed and [`input_dims`] wide: the raw
+/// features, the two temporal slots, and `ln(1 + degree)` per entry of its
+/// [`windowed_degrees`](relgraph_graph::sampler::windowed_degrees). The one
+/// featuriser of [`build_batch`] and the per-node inference walk.
+pub(crate) fn write_input_row(
+    graph: &HeteroGraph,
+    ty: NodeTypeId,
+    node: usize,
+    anchor: i64,
+    degrees: &[u32],
+    row: &mut [f64],
+) {
+    let raw = graph.features(ty);
+    for (r, &x) in row.iter_mut().zip(raw.row(node)) {
+        *r = x as f64;
+    }
+    let base = raw.dim();
+    let nt = graph.node_time(ty, node);
+    if nt == ALWAYS_VISIBLE {
+        row[base + 1] = 1.0;
+    } else {
+        let age_days = ((anchor - nt).max(0)) as f64 / SECONDS_PER_DAY as f64;
+        row[base] = (1.0 + age_days).ln();
+    }
+    // `ln(1 + 0)` is the zero already in the row.
+    for (r, &deg) in row[base + 2..].iter_mut().zip(degrees) {
+        if deg != 0 {
+            *r = (1.0 + deg as f64).ln();
+        }
+    }
+}
+
 /// Assemble the dense tensors for a sampled subgraph.
 pub fn build_batch(graph: &HeteroGraph, sub: &SampledSubgraph) -> Batch {
+    let dims = input_dims(graph);
     let mut features = Vec::with_capacity(graph.num_node_types());
-    for t in 0..graph.num_node_types() {
-        let ty = NodeTypeId(t);
-        let raw = graph.features(ty);
-        let ne = graph.num_edge_types() * DEGREE_WINDOWS_DAYS.len();
-        let dim = raw.dim() + 2 + ne;
+    for (t, &dim) in dims.iter().enumerate() {
         let locals = &sub.nodes[t];
-        let anchors = &sub.anchors[t];
         let mut m = Tensor::zeros(locals.len(), dim);
-        for (l, (&global, &anchor)) in locals.iter().zip(anchors).enumerate() {
-            let row = m.row_mut(l);
-            for (j, &x) in raw.row(global).iter().enumerate() {
-                row[j] = x as f64;
-            }
-            let nt = graph.node_time(ty, global);
-            let base = raw.dim();
-            if nt == ALWAYS_VISIBLE {
-                row[base] = 0.0;
-                row[base + 1] = 1.0;
-            } else {
-                let age_days = ((anchor - nt).max(0)) as f64 / SECONDS_PER_DAY as f64;
-                row[base] = (1.0 + age_days).ln();
-                row[base + 1] = 0.0;
-            }
-            for (e, &deg) in sub.degrees[t][l].iter().enumerate() {
-                row[base + 2 + e] = (1.0 + deg as f64).ln();
-            }
+        for (l, (&global, &anchor)) in locals.iter().zip(&sub.anchors[t]).enumerate() {
+            let degrees = &sub.degrees[t][l];
+            write_input_row(graph, NodeTypeId(t), global, anchor, degrees, m.row_mut(l));
         }
         features.push(m);
     }

@@ -38,18 +38,17 @@
 use std::collections::{HashMap, HashSet};
 
 use rayon::prelude::*;
-use relgraph_graph::sampler::DEGREE_WINDOWS_DAYS;
-use relgraph_graph::{HeteroGraph, NodeTypeId, SamplerConfig, ALWAYS_VISIBLE};
+use relgraph_graph::sampler::{kept_neighbors, windowed_degrees};
+use relgraph_graph::{HeteroGraph, NodeTypeId, SamplerConfig};
 use relgraph_nn::Linear;
 use relgraph_obs as obs;
 use relgraph_tensor::{ActKind, Tensor};
 
+use crate::batch::write_input_row;
 use crate::model::HeteroGnn;
 use crate::precision::InferModel32;
 use crate::sage::Aggregation;
 use crate::train::{NodeModel, TaskKind};
-
-const SECONDS_PER_DAY: i64 = 86_400;
 
 /// Nodes per chunk in the parallel evaluation fan-out. Chunks are
 /// independent and merge in worklist order, so thread count never changes
@@ -325,10 +324,14 @@ pub fn infer_nodes<M: InferModel>(
                 chunk
                     .iter()
                     .map(|&(ty, node)| {
-                        feature_row(graph, cfg, ty, node, anchor)
-                            .into_iter()
-                            .map(M::Elem::from_f64)
-                            .collect()
+                        // The featuriser `build_batch` uses, so the row is
+                        // bitwise the batched one; reduced precisions
+                        // narrow it once per node.
+                        let ty = NodeTypeId(ty);
+                        let degrees = windowed_degrees(graph, cfg, ty, node, anchor);
+                        let mut row = vec![0.0; graph.features(ty).dim() + 2 + degrees.len()];
+                        write_input_row(graph, ty, node, anchor, &degrees, &mut row);
+                        row.into_iter().map(M::Elem::from_f64).collect()
                     })
                     .collect()
             })
@@ -407,72 +410,20 @@ fn child_lists(
     fanout: usize,
     anchor: i64,
 ) -> Vec<ChildList> {
-    let mut out = Vec::new();
-    for &et in graph.edge_types_from(NodeTypeId(ty)) {
-        let meta = graph.edge_type(et);
-        let (visible, _) = if cfg.temporal {
-            graph.visible_slices(et, node, anchor)
-        } else {
-            graph.neighbor_slices(et, node)
-        };
-        let start = visible.len().saturating_sub(fanout);
-        let mut nbrs = Vec::with_capacity(visible.len() - start);
-        for &nbr in &visible[start..] {
-            let nbr = nbr as usize;
-            if cfg.temporal && graph.node_time(meta.dst, nbr) > anchor {
-                continue;
+    graph
+        .edge_types_from(NodeTypeId(ty))
+        .iter()
+        .map(|&et| {
+            let kept = kept_neighbors(graph, cfg, et, node, fanout, anchor);
+            let mut nbrs = Vec::with_capacity(kept.size_hint().1.unwrap_or(0));
+            nbrs.extend(kept);
+            ChildList {
+                et: et.0,
+                dst: graph.edge_type(et).dst.0,
+                nbrs,
             }
-            nbrs.push(nbr);
-        }
-        out.push(ChildList {
-            et: et.0,
-            dst: meta.dst.0,
-            nbrs,
-        });
-    }
-    out
-}
-
-/// The level-0 input row for a node — identical (bitwise) to the row
-/// [`build_batch`](crate::batch::build_batch) produces for it; reduced
-/// precisions narrow it once per node.
-fn feature_row(
-    graph: &HeteroGraph,
-    cfg: &SamplerConfig,
-    ty: usize,
-    node: usize,
-    anchor: i64,
-) -> Vec<f64> {
-    let tyid = NodeTypeId(ty);
-    let raw = graph.features(tyid);
-    let nw = DEGREE_WINDOWS_DAYS.len();
-    let mut row = vec![0.0; raw.dim() + 2 + graph.num_edge_types() * nw];
-    for (j, &x) in raw.row(node).iter().enumerate() {
-        row[j] = x as f64;
-    }
-    let base = raw.dim();
-    let nt = graph.node_time(tyid, node);
-    if nt == ALWAYS_VISIBLE {
-        row[base + 1] = 1.0;
-    } else {
-        let age_days = ((anchor - nt).max(0)) as f64 / SECONDS_PER_DAY as f64;
-        row[base] = (1.0 + age_days).ln();
-    }
-    if cfg.degree_features {
-        for &et in graph.edge_types_from(tyid) {
-            for (w, &days) in DEGREE_WINDOWS_DAYS.iter().enumerate() {
-                let hi = if cfg.temporal { anchor } else { i64::MAX };
-                let lo = if days == 0 {
-                    i64::MIN
-                } else {
-                    hi.saturating_sub(days * SECONDS_PER_DAY)
-                };
-                let deg = graph.degree_between(et, node, lo, hi) as u32;
-                row[base + 2 + et.0 * nw + w] = (1.0 + deg as f64).ln();
-            }
-        }
-    }
-    row
+        })
+        .collect()
 }
 
 /// One SAGE layer applied to one node: fused self transform, plus one
@@ -565,6 +516,7 @@ mod tests {
     use crate::train::{train_node_model, TrainConfig};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+    use relgraph_graph::sampler::SECONDS_PER_DAY;
     use relgraph_graph::{FeatureMatrix, HeteroGraphBuilder, Seed};
     use relgraph_nn::{Activation, Binding};
     use relgraph_tensor::Graph;

@@ -12,8 +12,9 @@
 //! * [`model`] stacks layers into a [`HeteroGnn`] producing seed-entity
 //!   embeddings;
 //! * [`train`] trains node-level models (binary classification with
-//!   BCE, regression with Huber on standardized targets), with mini-batch
-//!   Adam, gradient clipping and early stopping;
+//!   BCE, regression with Huber on standardized targets, multiclass with
+//!   softmax cross-entropy) through one epoch loop with mini-batch Adam,
+//!   gradient clipping and early stopping;
 //! * [`recommend`] trains a two-tower recommendation model (GNN user tower,
 //!   linear item tower) with a BPR ranking loss;
 //! * [`infer`] is the serving-time per-node walk ([`infer_nodes`]): one

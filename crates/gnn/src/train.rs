@@ -1,5 +1,8 @@
-//! Mini-batch training of node-level GNN models (binary classification and
-//! regression) with Adam, gradient clipping and early stopping.
+//! Mini-batch training of node-level GNN models — binary classification,
+//! regression and multiclass classification — with Adam, gradient clipping
+//! and early stopping. Every task runs the same epoch loop and predicts
+//! through the same chunked forward pass; a task differs only in its label
+//! type, its batch loss and how it reads the head's output.
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -8,7 +11,7 @@ use rayon::prelude::*;
 use relgraph_graph::{HeteroGraph, SamplerConfig, Seed, TemporalSampler};
 use relgraph_nn::{clip_global_norm, loss, Activation, Adam, Binding, Optimizer, ParamSet};
 use relgraph_obs as obs;
-use relgraph_tensor::{Graph, Tensor};
+use relgraph_tensor::{Graph, Tensor, Var};
 
 use crate::batch::{build_batch, input_dims};
 use crate::error::{GnnError, GnnResult};
@@ -69,6 +72,20 @@ impl Default for TrainConfig {
             degree_features: true,
             aggregation: Aggregation::Mean,
         }
+    }
+}
+
+impl TrainConfig {
+    /// The sampler configuration a model trained under `self` samples with.
+    fn sampler_config(&self) -> SamplerConfig {
+        let mut base = SamplerConfig::new(self.fanouts.clone());
+        if !self.temporal {
+            base = base.leaky();
+        }
+        if !self.degree_features {
+            base = base.without_degree_features();
+        }
+        base
     }
 }
 
@@ -143,36 +160,19 @@ impl NodeModel {
         seeds: &[Seed],
         sampler_cfg: SamplerConfig,
     ) -> Vec<f64> {
-        let t0 = obs::enabled().then(std::time::Instant::now);
         let sampler = TemporalSampler::new(graph, sampler_cfg);
-        // Chunks are independent forward passes; run them in parallel and
-        // flatten in chunk order — identical output to the serial loop.
-        let chunks: Vec<&[Seed]> = seeds.chunks(256).collect();
-        let per_chunk: Vec<Vec<f64>> = chunks
-            .par_iter()
-            .map(|chunk| {
-                let sub = sampler.sample(chunk);
-                let batch = build_batch(graph, &sub);
-                let mut g = Graph::new();
-                let mut binding = Binding::new();
-                let pred = self.gnn.forward(&mut g, &mut binding, &self.ps, &batch);
-                let v = g.value(pred);
-                (0..v.rows())
-                    .map(|r| {
-                        let x = v.get(r, 0);
-                        match self.task {
-                            TaskKind::Binary => 1.0 / (1.0 + (-x).exp()),
-                            TaskKind::Regression => x * self.label_std + self.label_mean,
-                        }
-                    })
-                    .collect()
-            })
-            .collect();
-        if let Some(t0) = t0 {
-            obs::add("gnn.predict.seeds", seeds.len() as u64);
-            obs::record_ns("gnn.predict", t0.elapsed().as_nanos() as u64);
-        }
-        per_chunk.into_iter().flatten().collect()
+        forward_chunked(&sampler, &self.ps, &self.gnn, seeds, |g, pred| {
+            let v = g.value(pred);
+            (0..v.rows())
+                .map(|r| {
+                    let x = v.get(r, 0);
+                    match self.task {
+                        TaskKind::Binary => 1.0 / (1.0 + (-x).exp()),
+                        TaskKind::Regression => x * self.label_std + self.label_mean,
+                    }
+                })
+                .collect()
+        })
     }
 
     /// Export everything needed to reconstruct this model: architecture
@@ -289,29 +289,14 @@ impl MulticlassModel {
 
     /// Per-seed class probabilities (`softmax` over the head logits).
     pub fn predict_proba(&self, graph: &HeteroGraph, seeds: &[Seed]) -> Vec<Vec<f64>> {
-        let t0 = obs::enabled().then(std::time::Instant::now);
         let sampler = TemporalSampler::new(graph, self.sampler_cfg.clone());
-        let chunks: Vec<&[Seed]> = seeds.chunks(256).collect();
-        let per_chunk: Vec<Vec<Vec<f64>>> = chunks
-            .par_iter()
-            .map(|chunk| {
-                let sub = sampler.sample(chunk);
-                let batch = build_batch(graph, &sub);
-                let mut g = Graph::new();
-                let mut binding = Binding::new();
-                let logits = self.gnn.forward(&mut g, &mut binding, &self.ps, &batch);
-                let ls = g.log_softmax(logits);
-                let v = g.value(ls);
-                (0..v.rows())
-                    .map(|r| v.row(r).iter().map(|&x| x.exp()).collect())
-                    .collect()
-            })
-            .collect();
-        if let Some(t0) = t0 {
-            obs::add("gnn.predict.seeds", seeds.len() as u64);
-            obs::record_ns("gnn.predict", t0.elapsed().as_nanos() as u64);
-        }
-        per_chunk.into_iter().flatten().collect()
+        forward_chunked(&sampler, &self.ps, &self.gnn, seeds, |g, logits| {
+            let ls = g.log_softmax(logits);
+            let v = g.value(ls);
+            (0..v.rows())
+                .map(|r| v.row(r).iter().map(|&x| x.exp()).collect())
+                .collect()
+        })
     }
 
     /// Per-seed argmax class index.
@@ -329,40 +314,200 @@ impl MulticlassModel {
     }
 }
 
-/// Record one training epoch's observability series: losses, mean pre-clip
-/// gradient norm, epoch duration and throughput. No-op when obs is off
-/// (`t0` is `None`).
-fn record_epoch_obs(
-    t0: Option<std::time::Instant>,
-    rows: usize,
-    batches: f64,
-    train_loss: f64,
-    val_loss: f64,
-    grad_norm_sum: f64,
-) {
-    let Some(t0) = t0 else { return };
-    let ms = t0.elapsed().as_secs_f64() * 1e3;
-    obs::observe("gnn.epoch_ms", ms);
-    obs::series_push("gnn.train_loss", train_loss);
-    obs::series_push("gnn.val_loss", val_loss);
-    obs::series_push("gnn.grad_norm", grad_norm_sum / batches.max(1.0));
-    obs::series_push("gnn.rows_per_s", rows as f64 / (ms / 1e3).max(1e-9));
-    obs::add("gnn.train.epochs", 1);
-    obs::add("gnn.train.batches", batches as u64);
+/// Seeds per forward pass when predicting.
+const PREDICT_CHUNK: usize = 256;
+
+/// Sample `seeds`, assemble their batch, run the GNN forward pass on the
+/// tape `g` and hand the head's output (one row per seed) to `then`. The
+/// subgraph and batch are freed only after `then` returns, so what `then`
+/// allocates lands above them: freeing them first lets a worker thread's
+/// allocator arena trim and fault its pages back in on every chunk, which
+/// measurably slowed parallel prediction.
+fn forward<R>(
+    g: &mut Graph,
+    binding: &mut Binding,
+    ps: &ParamSet,
+    gnn: &HeteroGnn,
+    sampler: &TemporalSampler,
+    seeds: &[Seed],
+    then: impl FnOnce(&mut Graph, Var) -> R,
+) -> R {
+    let sub = sampler.sample(seeds);
+    let batch = build_batch(sampler.graph(), &sub);
+    let out = gnn.forward(g, binding, ps, &batch);
+    then(g, out)
 }
 
-/// Close out a training run's observability: total examples seen and a
-/// synthetic `graph.sample` child span for the sampling time accumulated
-/// (inside worker threads) while the `gnn.train` span was open.
-fn close_train_obs(sample_ns0: u64, examples: usize) {
-    if !obs::enabled() {
-        return;
+/// Predict for `seeds`: forward passes over [`PREDICT_CHUNK`]-seed chunks
+/// in parallel, each head output turned into per-seed values by `read`,
+/// flattened in chunk order — identical output to the serial loop.
+fn forward_chunked<T: Send>(
+    sampler: &TemporalSampler,
+    ps: &ParamSet,
+    gnn: &HeteroGnn,
+    seeds: &[Seed],
+    read: impl Fn(&mut Graph, Var) -> Vec<T> + Sync,
+) -> Vec<T> {
+    let t0 = obs::enabled().then(std::time::Instant::now);
+    let chunks: Vec<&[Seed]> = seeds.chunks(PREDICT_CHUNK).collect();
+    let per_chunk: Vec<Vec<T>> = chunks
+        .par_iter()
+        .map(|chunk| {
+            let mut g = Graph::new();
+            let mut binding = Binding::new();
+            forward(&mut g, &mut binding, ps, gnn, sampler, chunk, &read)
+        })
+        .collect();
+    if let Some(t0) = t0 {
+        obs::add("gnn.predict.seeds", seeds.len() as u64);
+        obs::record_ns("gnn.predict", t0.elapsed().as_nanos() as u64);
     }
-    obs::add("gnn.train.examples", examples as u64);
-    let sampled = obs::counter_value("graph.sample_ns").saturating_sub(sample_ns0);
-    if sampled > 0 {
-        obs::record_ns("graph.sample", sampled);
+    per_chunk.into_iter().flatten().collect()
+}
+
+/// A freshly initialised GNN with an `out_dim`-wide head for seeds of
+/// `seed_type`, and its parameters.
+fn init_gnn(
+    graph: &HeteroGraph,
+    cfg: &TrainConfig,
+    seed_type: usize,
+    out_dim: usize,
+) -> (ParamSet, HeteroGnn) {
+    let mut ps = ParamSet::new();
+    let gnn_cfg = GnnConfig {
+        hidden_dim: cfg.hidden_dim,
+        layers: cfg.fanouts.len(),
+        out_dim,
+        activation: Activation::Relu,
+        aggregation: cfg.aggregation,
+        seed: cfg.seed,
+    };
+    let gnn = HeteroGnn::new(
+        &mut ps,
+        &input_dims(graph),
+        graph.edge_types(),
+        seed_type,
+        &gnn_cfg,
+    );
+    (ps, gnn)
+}
+
+/// The epoch loop every node-level task trains with: shuffled minibatches
+/// of `train` on one reused tape, clipped Adam steps on `ps`, a forward-only
+/// validation pass over `val` (the train loss when `val` is empty) and
+/// early stopping, after which `ps` holds the best-validation parameters.
+/// `loss` is the batch's mean loss on the tape; a task differs only there.
+fn fit<L: Copy + Sync>(
+    ps: &mut ParamSet,
+    train: &[(Seed, L)],
+    val: &[(Seed, L)],
+    cfg: &TrainConfig,
+    loss: impl Fn(&mut Graph, &mut Binding, &ParamSet, &[(Seed, L)]) -> Var + Sync,
+) -> GnnResult<TrainReport> {
+    let mut opt = Adam::new(cfg.lr);
+    let mut rng = StdRng::seed_from_u64(cfg.seed);
+    let mut order: Vec<usize> = (0..train.len()).collect();
+    let mut report = TrainReport::default();
+    let mut best_val = f64::INFINITY;
+    let mut best_snapshot = ps.snapshot();
+    let mut since_best = 0usize;
+
+    let _train_span = obs::span("gnn.train");
+    let sample_ns0 = obs::counter_value("graph.sample_ns");
+    for epoch in 0..cfg.epochs {
+        let epoch_t0 = obs::enabled().then(std::time::Instant::now);
+        order.shuffle(&mut rng);
+        let mut epoch_loss = 0.0;
+        let mut batches: f64 = 0.0;
+        let mut grad_norm_sum = 0.0;
+        // One graph + binding reused across minibatches: reset() recycles
+        // every tape buffer into the arena instead of reallocating.
+        let mut g = Graph::new();
+        let mut binding = Binding::new();
+        for chunk in order.chunks(cfg.batch_size) {
+            let examples: Vec<(Seed, L)> = chunk.iter().map(|&i| train[i]).collect();
+            g.reset();
+            binding.reset();
+            let l = loss(&mut g, &mut binding, ps, &examples);
+            let lv = g.value(l).item();
+            if !lv.is_finite() {
+                return Err(GnnError::NumericFailure { epoch });
+            }
+            g.backward(l)?;
+            binding.accumulate_grads(&g, ps);
+            grad_norm_sum += clip_global_norm(ps, cfg.clip_norm);
+            opt.step(ps);
+            epoch_loss += lv;
+            batches += 1.0;
+        }
+        let train_loss = epoch_loss / batches.max(1.0);
+        report.train_losses.push(train_loss);
+
+        // Validation (forward only): chunks are independent, so evaluate
+        // them in parallel and reduce in chunk order (deterministic sum).
+        let val_loss = if val.is_empty() {
+            train_loss
+        } else {
+            let chunks: Vec<&[(Seed, L)]> = val.chunks(cfg.batch_size).collect();
+            let ps: &ParamSet = ps;
+            let stats: Vec<(f64, f64)> = chunks
+                .par_iter()
+                .map(|chunk| {
+                    let mut g = Graph::new();
+                    let mut binding = Binding::new();
+                    let l = loss(&mut g, &mut binding, ps, chunk);
+                    (g.value(l).item() * chunk.len() as f64, chunk.len() as f64)
+                })
+                .collect();
+            let (total, n) = stats
+                .iter()
+                .fold((0.0, 0.0), |(t, n), &(dt, dn)| (t + dt, n + dn));
+            total / n.max(1.0)
+        };
+        report.val_losses.push(val_loss);
+        report.epochs_run = epoch + 1;
+        if let Some(t0) = epoch_t0 {
+            let ms = t0.elapsed().as_secs_f64() * 1e3;
+            obs::observe("gnn.epoch_ms", ms);
+            obs::series_push("gnn.train_loss", train_loss);
+            obs::series_push("gnn.val_loss", val_loss);
+            obs::series_push("gnn.grad_norm", grad_norm_sum / batches.max(1.0));
+            obs::series_push("gnn.rows_per_s", train.len() as f64 / (ms / 1e3).max(1e-9));
+            obs::add("gnn.train.epochs", 1);
+            obs::add("gnn.train.batches", batches as u64);
+        }
+
+        if val_loss < best_val - 1e-6 {
+            best_val = val_loss;
+            best_snapshot = ps.snapshot();
+            since_best = 0;
+        } else {
+            since_best += 1;
+            if since_best >= cfg.patience {
+                break;
+            }
+        }
     }
+    ps.restore(&best_snapshot);
+    report.best_val_loss = best_val;
+    if obs::enabled() {
+        obs::add(
+            "gnn.train.examples",
+            (train.len() * report.epochs_run) as u64,
+        );
+        // Sampling ran inside worker threads while `gnn.train` was open:
+        // record it as a synthetic `graph.sample` child span.
+        let sampled = obs::counter_value("graph.sample_ns").saturating_sub(sample_ns0);
+        if sampled > 0 {
+            obs::record_ns("graph.sample", sampled);
+        }
+    }
+    Ok(report)
+}
+
+/// The seeds of a batch of labelled examples.
+fn seeds_of<L: Copy>(examples: &[(Seed, L)]) -> Vec<Seed> {
+    examples.iter().map(|&(s, _)| s).collect()
 }
 
 /// Train a k-way classifier over `(seed, class index)` pairs. `classes` is
@@ -390,133 +535,20 @@ pub fn train_multiclass_model(
             "class index {bad} out of range for {k} classes"
         )));
     }
-    let sampler_cfg = {
-        let mut base = SamplerConfig::new(cfg.fanouts.clone());
-        if !cfg.temporal {
-            base = base.leaky();
-        }
-        if !cfg.degree_features {
-            base = base.without_degree_features();
-        }
-        base
-    };
+    let sampler_cfg = cfg.sampler_config();
     let sampler = TemporalSampler::new(graph, sampler_cfg.clone());
-    let mut ps = ParamSet::new();
-    let gnn_cfg = GnnConfig {
-        hidden_dim: cfg.hidden_dim,
-        layers: cfg.fanouts.len(),
-        out_dim: k,
-        activation: Activation::Relu,
-        aggregation: cfg.aggregation,
-        seed: cfg.seed,
-    };
-    let seed_type = train[0].0.node_type.0;
-    let gnn = HeteroGnn::new(
-        &mut ps,
-        &input_dims(graph),
-        graph.edge_types(),
-        seed_type,
-        &gnn_cfg,
-    );
-    let mut opt = Adam::new(cfg.lr);
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-
-    let ce_loss = |g: &mut Graph,
-                   binding: &mut Binding,
-                   ps: &ParamSet,
-                   examples: &[(Seed, usize)]|
-     -> relgraph_tensor::Var {
-        let seeds: Vec<Seed> = examples.iter().map(|&(s, _)| s).collect();
-        let sub = sampler.sample(&seeds);
-        let batch = build_batch(graph, &sub);
-        let logits = gnn.forward(g, binding, ps, &batch);
-        let mut one_hot = Tensor::zeros(examples.len(), k);
-        for (r, &(_, c)) in examples.iter().enumerate() {
-            one_hot.set(r, c, 1.0);
-        }
-        let target = g.constant(one_hot);
-        loss::softmax_cross_entropy(g, logits, target)
-    };
-
-    let mut order: Vec<usize> = (0..train.len()).collect();
-    let mut report = TrainReport::default();
-    let mut best_val = f64::INFINITY;
-    let mut best_snapshot = ps.snapshot();
-    let mut since_best = 0usize;
-    let _train_span = obs::span("gnn.train");
-    let sample_ns0 = obs::counter_value("graph.sample_ns");
-    for epoch in 0..cfg.epochs {
-        let epoch_t0 = obs::enabled().then(std::time::Instant::now);
-        order.shuffle(&mut rng);
-        let mut epoch_loss = 0.0;
-        let mut batches: f64 = 0.0;
-        let mut grad_norm_sum = 0.0;
-        // One graph + binding reused across minibatches: reset() recycles
-        // every tape buffer into the arena instead of reallocating.
-        let mut g = Graph::new();
-        let mut binding = Binding::new();
-        for chunk in order.chunks(cfg.batch_size) {
-            let examples: Vec<(Seed, usize)> = chunk.iter().map(|&i| train[i]).collect();
-            g.reset();
-            binding.reset();
-            let l = ce_loss(&mut g, &mut binding, &ps, &examples);
-            let lv = g.value(l).item();
-            if !lv.is_finite() {
-                return Err(GnnError::NumericFailure { epoch });
+    let (mut ps, gnn) = init_gnn(graph, cfg, train[0].0.node_type.0, k);
+    let report = fit(&mut ps, train, val, cfg, |g, binding, ps, examples| {
+        let seeds = seeds_of(examples);
+        forward(g, binding, ps, &gnn, &sampler, &seeds, |g, logits| {
+            let mut one_hot = Tensor::zeros(examples.len(), k);
+            for (r, &(_, c)) in examples.iter().enumerate() {
+                one_hot.set(r, c, 1.0);
             }
-            g.backward(l)?;
-            binding.accumulate_grads(&g, &mut ps);
-            grad_norm_sum += clip_global_norm(&mut ps, cfg.clip_norm);
-            opt.step(&mut ps);
-            epoch_loss += lv;
-            batches += 1.0;
-        }
-        let train_loss = epoch_loss / batches.max(1.0);
-        report.train_losses.push(train_loss);
-        let val_loss = if val.is_empty() {
-            train_loss
-        } else {
-            // Forward-only and per-chunk independent: evaluate chunks in
-            // parallel, reduce in chunk order (deterministic sum).
-            let chunks: Vec<&[(Seed, usize)]> = val.chunks(cfg.batch_size).collect();
-            let stats: Vec<(f64, f64)> = chunks
-                .par_iter()
-                .map(|chunk| {
-                    let mut g = Graph::new();
-                    let mut binding = Binding::new();
-                    let l = ce_loss(&mut g, &mut binding, &ps, chunk);
-                    (g.value(l).item() * chunk.len() as f64, chunk.len() as f64)
-                })
-                .collect();
-            let (total, n) = stats
-                .iter()
-                .fold((0.0, 0.0), |(t, n), &(dt, dn)| (t + dt, n + dn));
-            total / n.max(1.0)
-        };
-        report.val_losses.push(val_loss);
-        report.epochs_run = epoch + 1;
-        record_epoch_obs(
-            epoch_t0,
-            train.len(),
-            batches,
-            train_loss,
-            val_loss,
-            grad_norm_sum,
-        );
-        if val_loss < best_val - 1e-6 {
-            best_val = val_loss;
-            best_snapshot = ps.snapshot();
-            since_best = 0;
-        } else {
-            since_best += 1;
-            if since_best >= cfg.patience {
-                break;
-            }
-        }
-    }
-    ps.restore(&best_snapshot);
-    report.best_val_loss = best_val;
-    close_train_obs(sample_ns0, train.len() * report.epochs_run);
+            let target = g.constant(one_hot);
+            loss::softmax_cross_entropy(g, logits, target)
+        })
+    })?;
     Ok(MulticlassModel {
         ps,
         gnn,
@@ -524,38 +556,6 @@ pub fn train_multiclass_model(
         sampler_cfg,
         report,
     })
-}
-
-#[allow(clippy::too_many_arguments)]
-fn batch_loss(
-    g: &mut Graph,
-    binding: &mut Binding,
-    ps: &ParamSet,
-    gnn: &HeteroGnn,
-    graph: &HeteroGraph,
-    sampler: &TemporalSampler,
-    examples: &[(Seed, f64)],
-    task: TaskKind,
-    label_mean: f64,
-    label_std: f64,
-) -> relgraph_tensor::Var {
-    let seeds: Vec<Seed> = examples.iter().map(|&(s, _)| s).collect();
-    let sub = sampler.sample(&seeds);
-    let batch = build_batch(graph, &sub);
-    let pred = gnn.forward(g, binding, ps, &batch);
-    let labels: Vec<f64> = examples
-        .iter()
-        .map(|&(_, y)| match task {
-            TaskKind::Binary => y,
-            TaskKind::Regression => (y - label_mean) / label_std,
-        })
-        .collect();
-    let n = labels.len();
-    let target = g.constant(Tensor::from_vec(n, 1, labels));
-    match task {
-        TaskKind::Binary => loss::bce_with_logits(g, pred, target),
-        TaskKind::Regression => loss::huber(g, pred, target, 1.0),
-    }
 }
 
 /// Train a node-level model.
@@ -599,141 +599,26 @@ pub fn train_node_model(
         }
     };
 
-    let sampler_cfg = {
-        let mut base = SamplerConfig::new(cfg.fanouts.clone());
-        if !cfg.temporal {
-            base = base.leaky();
-        }
-        if !cfg.degree_features {
-            base = base.without_degree_features();
-        }
-        base
-    };
+    let sampler_cfg = cfg.sampler_config();
     let sampler = TemporalSampler::new(graph, sampler_cfg.clone());
-    let mut ps = ParamSet::new();
-    let gnn_cfg = GnnConfig {
-        hidden_dim: cfg.hidden_dim,
-        layers: cfg.fanouts.len(),
-        out_dim: 1,
-        activation: Activation::Relu,
-        aggregation: cfg.aggregation,
-        seed: cfg.seed,
-    };
-    let seed_type = train[0].0.node_type.0;
-    let gnn = HeteroGnn::new(
-        &mut ps,
-        &input_dims(graph),
-        graph.edge_types(),
-        seed_type,
-        &gnn_cfg,
-    );
-    let mut opt = Adam::new(cfg.lr);
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-
-    let mut order: Vec<usize> = (0..train.len()).collect();
-    let mut report = TrainReport::default();
-    let mut best_val = f64::INFINITY;
-    let mut best_snapshot = ps.snapshot();
-    let mut since_best = 0usize;
-
-    let _train_span = obs::span("gnn.train");
-    let sample_ns0 = obs::counter_value("graph.sample_ns");
-    for epoch in 0..cfg.epochs {
-        let epoch_t0 = obs::enabled().then(std::time::Instant::now);
-        order.shuffle(&mut rng);
-        let mut epoch_loss = 0.0;
-        let mut batches: f64 = 0.0;
-        let mut grad_norm_sum = 0.0;
-        // One graph + binding reused across minibatches: reset() recycles
-        // every tape buffer into the arena instead of reallocating.
-        let mut g = Graph::new();
-        let mut binding = Binding::new();
-        for chunk in order.chunks(cfg.batch_size) {
-            let examples: Vec<(Seed, f64)> = chunk.iter().map(|&i| train[i]).collect();
-            g.reset();
-            binding.reset();
-            let l = batch_loss(
-                &mut g,
-                &mut binding,
-                &ps,
-                &gnn,
-                graph,
-                &sampler,
-                &examples,
-                task,
-                label_mean,
-                label_std,
-            );
-            let lv = g.value(l).item();
-            if !lv.is_finite() {
-                return Err(GnnError::NumericFailure { epoch });
-            }
-            g.backward(l)?;
-            binding.accumulate_grads(&g, &mut ps);
-            grad_norm_sum += clip_global_norm(&mut ps, cfg.clip_norm);
-            opt.step(&mut ps);
-            epoch_loss += lv;
-            batches += 1.0;
-        }
-        let train_loss = epoch_loss / batches.max(1.0);
-        report.train_losses.push(train_loss);
-
-        // Validation (forward only): chunks are independent, so evaluate
-        // them in parallel and reduce in chunk order (deterministic sum).
-        let val_loss = if val.is_empty() {
-            train_loss
-        } else {
-            let chunks: Vec<&[(Seed, f64)]> = val.chunks(cfg.batch_size).collect();
-            let stats: Vec<(f64, f64)> = chunks
-                .par_iter()
-                .map(|chunk| {
-                    let mut g = Graph::new();
-                    let mut binding = Binding::new();
-                    let l = batch_loss(
-                        &mut g,
-                        &mut binding,
-                        &ps,
-                        &gnn,
-                        graph,
-                        &sampler,
-                        chunk,
-                        task,
-                        label_mean,
-                        label_std,
-                    );
-                    (g.value(l).item() * chunk.len() as f64, chunk.len() as f64)
+    let (mut ps, gnn) = init_gnn(graph, cfg, train[0].0.node_type.0, 1);
+    let report = fit(&mut ps, train, val, cfg, |g, binding, ps, examples| {
+        let seeds = seeds_of(examples);
+        forward(g, binding, ps, &gnn, &sampler, &seeds, |g, pred| {
+            let labels: Vec<f64> = examples
+                .iter()
+                .map(|&(_, y)| match task {
+                    TaskKind::Binary => y,
+                    TaskKind::Regression => (y - label_mean) / label_std,
                 })
                 .collect();
-            let (total, n) = stats
-                .iter()
-                .fold((0.0, 0.0), |(t, n), &(dt, dn)| (t + dt, n + dn));
-            total / n.max(1.0)
-        };
-        report.val_losses.push(val_loss);
-        report.epochs_run = epoch + 1;
-        record_epoch_obs(
-            epoch_t0,
-            train.len(),
-            batches,
-            train_loss,
-            val_loss,
-            grad_norm_sum,
-        );
-
-        if val_loss < best_val - 1e-6 {
-            best_val = val_loss;
-            best_snapshot = ps.snapshot();
-            since_best = 0;
-        } else {
-            since_best += 1;
-            if since_best >= cfg.patience {
-                break;
+            let target = g.constant(Tensor::from_vec(labels.len(), 1, labels));
+            match task {
+                TaskKind::Binary => loss::bce_with_logits(g, pred, target),
+                TaskKind::Regression => loss::huber(g, pred, target, 1.0),
             }
-        }
-    }
-    ps.restore(&best_snapshot);
-    report.best_val_loss = best_val;
-    close_train_obs(sample_ns0, train.len() * report.epochs_run);
+        })
+    })?;
     Ok(NodeModel {
         ps,
         gnn,
@@ -859,12 +744,10 @@ mod tests {
         );
     }
 
-    #[test]
-    fn multiclass_learns_neighbor_majority() {
-        // 3 classes; the label is the dominant one-hot among a user's item
-        // neighbors.
-        let mut rng = StdRng::seed_from_u64(7);
-        let n_users = 120;
+    /// Users whose class (of 3) is the dominant one-hot among their item
+    /// neighbors' features.
+    fn multiclass_graph(n_users: usize, seed: u64) -> (HeteroGraph, Vec<(Seed, usize)>) {
+        let mut rng = StdRng::seed_from_u64(seed);
         let n_items = n_users * 3;
         let mut b = relgraph_graph::HeteroGraphBuilder::new();
         let u = b.add_node_type("user", n_users);
@@ -909,6 +792,14 @@ mod tests {
                 )
             })
             .collect();
+        (g, examples)
+    }
+
+    #[test]
+    fn multiclass_learns_neighbor_majority() {
+        // 3 classes; the label is the dominant one-hot among a user's item
+        // neighbors.
+        let (g, examples) = multiclass_graph(120, 7);
         let (train, test) = examples.split_at(90);
         let classes = vec!["a".to_string(), "b".to_string(), "c".to_string()];
         let model = train_multiclass_model(&g, classes, train, &[], &cfg()).unwrap();
@@ -922,6 +813,111 @@ mod tests {
             assert!((p.iter().sum::<f64>() - 1.0).abs() < 1e-9);
         }
         assert_eq!(model.classes().len(), 3);
+    }
+
+    /// One training run's exact numbers as `to_bits()`: the report's train
+    /// losses, val losses and best val loss, then the predictions for the
+    /// probe seeds.
+    type Pinned = (&'static [u64], &'static [u64], u64, &'static [u64]);
+
+    fn assert_pinned(what: &str, report: &TrainReport, predictions: &[f64], want: Pinned) {
+        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+        let (train, val) = (bits(&report.train_losses), bits(&report.val_losses));
+        let (best, predictions) = (report.best_val_loss.to_bits(), bits(predictions));
+        let got = (&train[..], &val[..], best, &predictions[..]);
+        assert_eq!(got, want, "{what}");
+    }
+
+    #[rustfmt::skip]
+    const BINARY: Pinned = (
+        &[
+            0x3fe559705b86ab98, 0x3fe2f21c6fd114e4, 0x3fe12314d63b9eb4, 0x3fd90ff55cd29063,
+            0x3fdb0518495cb4af, 0x3fd8f926a7b04117,
+        ],
+        &[
+            0x3fe3558ade2975eb, 0x3fe05ae2bf70851d, 0x3fdab73d7bc36810, 0x3fdb69dc1f69793b,
+            0x3fced46735a737ba, 0x3fc35a06eca321ef,
+        ],
+        0x3fc35a06eca321ef,
+        &[
+            0x3f9e72b7dadec50a, 0x3feefa23dc5f248f, 0x3fee503881846a4d, 0x3fa82617ef12fec1,
+            0x3fdeaee799e09a5b, 0x3fea03a15e37755e, 0x3fe4a2b63d654546, 0x3fb5b1431ba8763a,
+        ],
+    );
+
+    #[rustfmt::skip]
+    const REGRESSION: Pinned = (
+        &[
+            0x3fdd5966f1c5ac63, 0x3fd69eb08c948d08, 0x3fd0af8b1c882498, 0x3fc28809df7f4a70,
+            0x3fc90c7dc151dec5, 0x3fcabce7120ab3c8,
+        ],
+        &[
+            0x3fd815971128b5e7, 0x3fccd7af713232a5, 0x3fc719d8efdb94af, 0x3fc2bcbeca026492,
+            0x3fbef11bc4affebb, 0x3fc6e2a50a37095b,
+        ],
+        0x3fbef11bc4affebb,
+        &[
+            0x400b6df2cbb5baf8, 0x403038134255434c, 0x402ddeea1917b111, 0x401145b17ff65419,
+            0x402387e5e0553568, 0x402913c0c76dc886, 0x4026204e161fbac9, 0x4016363c0dca2edf,
+        ],
+    );
+
+    /// Predictions are `predict_proba`, three classes per probe seed.
+    #[rustfmt::skip]
+    const MULTICLASS: Pinned = (
+        &[
+            0x3ff1f4f6f7219c99, 0x3fee032a2dcbef05, 0x3fe9439d876beebf, 0x3fe6f265fef9345b,
+            0x3fdfe3e6f5cc99a5, 0x3fd8fa8ee66d057c,
+        ],
+        &[
+            0x3ff1685fd9e08a08, 0x3fef036bc3836fb6, 0x3feb80f180c0bd60, 0x3fe8cf0153830d5f,
+            0x3fe407cbc5ee7e25, 0x3fe5697f77b52375,
+        ],
+        0x3fe407cbc5ee7e25,
+        &[
+            0x3fd6361648b2da8a, 0x3fc1d4d2719f2194, 0x3fe06fc03f3eca55, 0x3fb3edc2398cb42f,
+            0x3fe68a7be2e5cec7, 0x3fcbdf2f57a26ad5, 0x3fcb0a9ef12636aa, 0x3fc80c8be5ce0f10,
+            0x3fe33a354a42ee91, 0x3fd443dee85824d2, 0x3fa3f03c8189a7d6, 0x3fe49f0cc3bb5319,
+            0x3fb3edc2398cb42f, 0x3fe68a7be2e5cec7, 0x3fcbdf2f57a26ad5, 0x3fd443dee85824d2,
+            0x3fa3f03c8189a7d6, 0x3fe49f0cc3bb5319, 0x3fd443dee85824d2, 0x3fa3f03c8189a7d6,
+            0x3fe49f0cc3bb5319, 0x3fcb0a9ef12636aa, 0x3fc80c8be5ce0f10, 0x3fe33a354a42ee91,
+        ],
+    );
+
+    /// The training trajectory and predictions of every task kind, bit for
+    /// bit: several minibatches with a short last one, a validation set
+    /// that spans several chunks, and early stopping's restore. A refactor
+    /// of the epoch loop or the batched forward must keep these numbers.
+    #[test]
+    fn training_is_pinned_bit_for_bit() {
+        let c = TrainConfig {
+            epochs: 6,
+            batch_size: 8,
+            patience: 2,
+            ..cfg()
+        };
+        let (g, examples) = neighbor_label_graph(70, 11);
+        let (train, rest) = examples.split_at(42);
+        let (val, probe) = rest.split_at(20);
+        let probe: Vec<Seed> = probe.iter().map(|&(s, _)| s).collect();
+        let m = train_node_model(&g, TaskKind::Binary, train, val, &c).unwrap();
+        assert_pinned("binary", &m.report, &m.predict(&g, &probe), BINARY);
+
+        let scaled = |xs: &[(Seed, f64)]| -> Vec<(Seed, f64)> {
+            xs.iter().map(|&(s, y)| (s, 10.0 * y + 5.0)).collect()
+        };
+        let m =
+            train_node_model(&g, TaskKind::Regression, &scaled(train), &scaled(val), &c).unwrap();
+        assert_pinned("regression", &m.report, &m.predict(&g, &probe), REGRESSION);
+
+        let (g, examples) = multiclass_graph(70, 12);
+        let (train, rest) = examples.split_at(42);
+        let (val, probe) = rest.split_at(20);
+        let probe: Vec<Seed> = probe.iter().map(|&(s, _)| s).collect();
+        let classes = vec!["a".to_string(), "b".to_string(), "c".to_string()];
+        let m = train_multiclass_model(&g, classes, train, val, &c).unwrap();
+        let proba = m.predict_proba(&g, &probe).concat();
+        assert_pinned("multiclass", &m.report, &proba, MULTICLASS);
     }
 
     #[test]

@@ -33,7 +33,9 @@ use crate::hetero::{EdgeTypeId, HeteroGraph, NodeTypeId};
 /// aggregation cannot recover on its own.
 pub const DEGREE_WINDOWS_DAYS: [i64; 4] = [7, 30, 90, 0];
 
-const SECONDS_PER_DAY: i64 = 86_400;
+/// Seconds per day: the unit of [`DEGREE_WINDOWS_DAYS`] and of the
+/// relative-age feature.
+pub const SECONDS_PER_DAY: i64 = 86_400;
 
 /// Fewest seeds one parallel task expands. Measured on the reference host
 /// (EXPERIMENTS.md, "Parallel grain"), two threads against inline over a
@@ -103,6 +105,65 @@ impl SamplerConfig {
     }
 }
 
+/// The neighbors `node` keeps along `et` when it is expanded at `anchor`
+/// with `fanout`: its most recent `fanout` anchor-visible out-neighbors
+/// (every out-neighbor counts as visible when `cfg` is leaky), in
+/// ascending-time order. The one recency rule of both the sampler and the
+/// per-node inference walk.
+pub fn kept_neighbors<'g>(
+    graph: &'g HeteroGraph,
+    cfg: &SamplerConfig,
+    et: EdgeTypeId,
+    node: usize,
+    fanout: usize,
+    anchor: i64,
+) -> impl Iterator<Item = usize> + 'g {
+    let temporal = cfg.temporal;
+    // Visible neighbors as a borrowed time-ascending slice (one binary
+    // search, no allocation); keep the most recent `fanout` — the tail.
+    let (visible, _) = if temporal {
+        graph.visible_slices(et, node, anchor)
+    } else {
+        graph.neighbor_slices(et, node)
+    };
+    let dst = graph.edge_type(et).dst;
+    visible[visible.len().saturating_sub(fanout)..]
+        .iter()
+        .map(|&nbr| nbr as usize)
+        .filter(move |&nbr| !temporal || graph.node_time(dst, nbr) <= anchor)
+}
+
+/// The windowed visible out-degrees of `node` (of type `ty`) at `anchor`:
+/// per edge type leaving `ty` and per [`DEGREE_WINDOWS_DAYS`] window, the
+/// edges in `(anchor − window, anchor]` (any time when `cfg` is leaky),
+/// laid out as `edge_type * NUM_WINDOWS + window` over all edge types.
+/// All zeros when `cfg` has no degree features.
+pub fn windowed_degrees(
+    graph: &HeteroGraph,
+    cfg: &SamplerConfig,
+    ty: NodeTypeId,
+    node: usize,
+    anchor: i64,
+) -> Vec<u32> {
+    let nw = DEGREE_WINDOWS_DAYS.len();
+    let mut degs = vec![0u32; graph.num_edge_types() * nw];
+    if !cfg.degree_features {
+        return degs;
+    }
+    let hi = if cfg.temporal { anchor } else { i64::MAX };
+    for &et in graph.edge_types_from(ty) {
+        for (w, &days) in DEGREE_WINDOWS_DAYS.iter().enumerate() {
+            let lo = if days == 0 {
+                i64::MIN
+            } else {
+                hi.saturating_sub(days * SECONDS_PER_DAY)
+            };
+            degs[et.0 * nw + w] = graph.degree_between(et, node, lo, hi) as u32;
+        }
+    }
+    degs
+}
+
 /// A sampled block-diagonal subgraph over the same type registries as the
 /// originating [`HeteroGraph`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -154,6 +215,11 @@ impl<'g> TemporalSampler<'g> {
     /// The sampler's configuration.
     pub fn config(&self) -> &SamplerConfig {
         &self.config
+    }
+
+    /// The graph this sampler samples from.
+    pub fn graph(&self) -> &'g HeteroGraph {
+        self.graph
     }
 
     /// Sample a batch of seeds (all of the same node type) into one
@@ -236,20 +302,7 @@ impl<'g> TemporalSampler<'g> {
                 for &et in g.edge_types_from(ty) {
                     let meta = g.edge_type(et);
                     csr_lookups += 1;
-                    // Visible neighbors as a borrowed time-ascending slice
-                    // (one binary search, no allocation); keep the most
-                    // recent `fanout` — the tail.
-                    let (visible, _) = if self.config.temporal {
-                        g.visible_slices(et, global, anchor)
-                    } else {
-                        g.neighbor_slices(et, global)
-                    };
-                    let start = visible.len().saturating_sub(fanout);
-                    for &nbr in &visible[start..] {
-                        let nbr = nbr as usize;
-                        if self.config.temporal && g.node_time(meta.dst, nbr) > anchor {
-                            continue;
-                        }
+                    for nbr in kept_neighbors(g, &self.config, et, global, fanout, anchor) {
                         let known = local.contains_key(&(meta.dst.0, nbr));
                         let dst_local = intern(meta.dst, nbr, &mut nodes, &mut local);
                         edges[et.0].push((src_local, dst_local));
@@ -302,7 +355,7 @@ impl<'g> TemporalSampler<'g> {
                 edges[et].extend(pairs.into_iter().map(|(s, d)| (s + sb, d + db)));
             }
         }
-        let degrees = self.windowed_degrees(&nodes, &anchors);
+        let degrees = self.sampled_degrees(&nodes, &anchors);
         SampledSubgraph {
             nodes,
             anchors,
@@ -313,11 +366,10 @@ impl<'g> TemporalSampler<'g> {
         }
     }
 
-    /// Windowed visible degrees per sampled node & edge type, computed in
-    /// parallel over the nodes of each type.
-    fn windowed_degrees(&self, nodes: &[Vec<usize>], anchors: &[Vec<i64>]) -> Vec<Vec<Vec<u32>>> {
+    /// [`windowed_degrees`] of every sampled node, computed in parallel
+    /// over the nodes of each type.
+    fn sampled_degrees(&self, nodes: &[Vec<usize>], anchors: &[Vec<i64>]) -> Vec<Vec<Vec<u32>>> {
         let g = self.graph;
-        let nw = DEGREE_WINDOWS_DAYS.len();
         (0..g.num_node_types())
             .map(|t| {
                 let pairs: Vec<(usize, i64)> = nodes[t]
@@ -329,26 +381,7 @@ impl<'g> TemporalSampler<'g> {
                     .par_iter()
                     .with_min_len(DEGREE_NODES_PER_TASK)
                     .map(|&(global, anchor)| {
-                        let mut degs = vec![0u32; g.num_edge_types() * nw];
-                        if !self.config.degree_features {
-                            return degs;
-                        }
-                        for &et in g.edge_types_from(NodeTypeId(t)) {
-                            for (w, &days) in DEGREE_WINDOWS_DAYS.iter().enumerate() {
-                                let hi = if self.config.temporal {
-                                    anchor
-                                } else {
-                                    i64::MAX
-                                };
-                                let lo = if days == 0 {
-                                    i64::MIN
-                                } else {
-                                    hi.saturating_sub(days * SECONDS_PER_DAY)
-                                };
-                                degs[et.0 * nw + w] = g.degree_between(et, global, lo, hi) as u32;
-                            }
-                        }
-                        degs
+                        windowed_degrees(g, &self.config, NodeTypeId(t), global, anchor)
                     })
                     .collect()
             })

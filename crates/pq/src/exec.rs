@@ -11,8 +11,8 @@ use relgraph_baselines::{
 };
 use relgraph_db2graph::{build_graph, ConvertOptions, GraphMapping};
 use relgraph_gnn::{
-    train_multiclass_model, train_node_model, train_two_tower, Aggregation, NodeModel, TaskKind,
-    TrainConfig, TwoTowerConfig,
+    train_multiclass_model, train_node_model, train_two_tower, Aggregation, GnnResult, NodeModel,
+    TaskKind, TrainConfig, TwoTowerConfig,
 };
 use relgraph_graph::{HeteroGraph, NodeTypeId, Seed};
 use relgraph_metrics as metrics;
@@ -276,18 +276,7 @@ impl QueryOutcome {
 /// Parse, analyze, compile, train, evaluate, predict.
 pub fn execute(db: &Database, query_text: &str, config: &ExecConfig) -> PqResult<QueryOutcome> {
     let _root = obs::span("pq.execute");
-    let query = {
-        let _s = obs::span("pq.parse");
-        parse(query_text)?
-    };
-    let mut cfg = config.clone();
-    cfg.apply_options(&query.options)?;
-    let aq = {
-        let _s = obs::span("pq.analyze");
-        analyze(db, query)?
-    };
-    let table = build_training_table(db, &aq, &cfg.traintable)?;
-    execute_analyzed(db, &aq, &table, &cfg)
+    PreparedQuery::prepare(db, query_text, config)?.run_task(db, None)
 }
 
 /// A predictive query parsed and analyzed once, re-runnable cheaply as the
@@ -350,14 +339,6 @@ impl PreparedQuery {
         &self.cfg
     }
 
-    /// Re-run against the database's current state, rebuilding the
-    /// training table (and, for GNN models, the graph) from scratch.
-    pub fn run(&self, db: &Database) -> PqResult<QueryOutcome> {
-        let _root = obs::span("pq.execute");
-        let table = build_training_table(db, &self.aq, &self.cfg.traintable)?;
-        execute_analyzed_impl(db, &self.aq, &table, &self.cfg, None)
-    }
-
     /// Train the query's GNN node model against an already-compiled graph
     /// and hand back the trained model itself instead of a one-shot
     /// [`QueryOutcome`]. This is the serving entry point: the caller keeps
@@ -391,54 +372,26 @@ impl PreparedQuery {
             )));
         }
         let table = build_training_table(db, aq, &cfg.traintable)?;
-        let node_type = resolve_covered_node_type(db, graph, mapping, &aq.entity_table, "entity")?;
-        let to_seed = |e: &Example| Seed {
-            node_type,
-            node: e.entity_row,
-            time: e.anchor,
+        let run = Run {
+            db,
+            aq,
+            table: &table,
+            cfg,
+            prebuilt: Some((graph, mapping)),
         };
-        let train: Vec<(Seed, f64)> = table
-            .train
-            .iter()
-            .map(|e| (to_seed(e), e.label.scalar()))
-            .collect();
-        let val: Vec<(Seed, f64)> = table
-            .val
-            .iter()
-            .map(|e| (to_seed(e), e.label.scalar()))
-            .collect();
-        let task = match aq.task {
-            TaskType::Classification => TaskKind::Binary,
-            _ => TaskKind::Regression,
-        };
-        let tc = TrainConfig {
-            epochs: cfg.epochs,
-            batch_size: cfg.batch_size,
-            lr: cfg.lr,
-            fanouts: cfg.fanouts.clone(),
-            hidden_dim: cfg.hidden_dim,
-            seed: cfg.seed,
-            temporal: cfg.temporal,
-            degree_features: cfg.degree_features,
-            aggregation: cfg.aggregation,
-            ..Default::default()
-        };
-        let model = train_node_model(graph, task, &train, &val, &tc)?;
-        let test_seeds: Vec<Seed> = table.test.iter().map(to_seed).collect();
-        let test_preds = model.predict(graph, &test_seeds);
-        let test_truth: Vec<f64> = table.test.iter().map(|e| e.label.scalar()).collect();
-        let metrics = node_metrics(aq.task, &test_preds, &test_truth);
+        let fit = run.fit_node_gnn(None)?;
         Ok(FittedNodeModel {
-            model,
-            node_type,
-            metrics,
+            model: fit.model,
+            node_type: fit.node_type,
+            metrics: node_metrics(aq.task, &fit.test, &scalars(&table.test)),
         })
     }
 
     /// Entity rows alive (present at the deploy anchor and passing the
     /// query's filter) in the database's current state — the population a
     /// serving engine may legitimately be asked to score. Unlike
-    /// [`run`](Self::run) this does not apply `max_predictions`.
+    /// [`run_on_graph`](Self::run_on_graph) this does not apply
+    /// `max_predictions`.
     pub fn deploy_entities(&self, db: &Database) -> PqResult<Vec<usize>> {
         alive_entities(db, &self.aq, deploy_anchor(db))
     }
@@ -462,8 +415,46 @@ impl PreparedQuery {
         mapping: &GraphMapping,
     ) -> PqResult<QueryOutcome> {
         let _root = obs::span("pq.execute");
-        let table = build_training_table(db, &self.aq, &self.cfg.traintable)?;
-        execute_analyzed_impl(db, &self.aq, &table, &self.cfg, Some((graph, mapping)))
+        self.run_task(db, Some((graph, mapping)))
+    }
+
+    /// The body of every execution: build the training table from `db`'s
+    /// current state, then train, evaluate and predict with the task's
+    /// runner. `prebuilt` short-circuits graph construction in the GNN arms
+    /// (the streaming-ingest path maintains the graph incrementally).
+    fn run_task(&self, db: &Database, prebuilt: PrebuiltGraph<'_>) -> PqResult<QueryOutcome> {
+        let (aq, cfg) = (&self.aq, &self.cfg);
+        let table = build_training_table(db, aq, &cfg.traintable)?;
+        let _span = obs::span("pq.run_task");
+        let explain_text = explain(db, aq, Some(&table));
+        let run = Run {
+            db,
+            aq,
+            table: &table,
+            cfg,
+            prebuilt,
+        };
+        let (metrics, predictions) = match aq.task {
+            TaskType::Classification | TaskType::Regression => run_node_task(run)?,
+            TaskType::Recommendation => run_recommendation(run)?,
+            TaskType::Multiclass => run_multiclass(run)?,
+        };
+        if obs::enabled() {
+            for (name, value) in &metrics {
+                obs::gauge(&format!("metric.{name}"), *value);
+            }
+            obs::add("pq.predictions", predictions.len() as u64);
+        }
+        Ok(QueryOutcome {
+            task: aq.task,
+            model: cfg.model,
+            metrics,
+            predictions,
+            explain: explain_text,
+            train_size: table.train.len(),
+            val_size: table.val.len(),
+            test_size: table.test.len(),
+        })
     }
 }
 
@@ -481,52 +472,189 @@ pub struct FittedNodeModel {
     pub metrics: Vec<(String, f64)>,
 }
 
-/// Execute a pre-analyzed query with a pre-built training table (used by
-/// the experiment harness to share work across model variants).
-pub fn execute_analyzed(
-    db: &Database,
-    aq: &AnalyzedQuery,
-    table: &TrainingTable,
-    cfg: &ExecConfig,
-) -> PqResult<QueryOutcome> {
-    execute_analyzed_impl(db, aq, table, cfg, None)
+impl ExecConfig {
+    /// The GNN training configuration of this execution configuration.
+    fn train_config(&self) -> TrainConfig {
+        TrainConfig {
+            epochs: self.epochs,
+            batch_size: self.batch_size,
+            lr: self.lr,
+            fanouts: self.fanouts.clone(),
+            hidden_dim: self.hidden_dim,
+            seed: self.seed,
+            temporal: self.temporal,
+            degree_features: self.degree_features,
+            aggregation: self.aggregation,
+            ..Default::default()
+        }
+    }
 }
 
-/// Shared execution body; `prebuilt` short-circuits graph construction in
-/// the GNN arms (the streaming-ingest path maintains the graph
-/// incrementally and re-runs prepared queries against it).
-fn execute_analyzed_impl(
-    db: &Database,
-    aq: &AnalyzedQuery,
-    table: &TrainingTable,
-    cfg: &ExecConfig,
-    prebuilt: PrebuiltGraph<'_>,
-) -> PqResult<QueryOutcome> {
-    let _span = obs::span("pq.run_task");
-    let explain_text = explain(db, aq, Some(table));
-    let (metrics, predictions) = match aq.task {
-        TaskType::Classification | TaskType::Regression => {
-            run_node_task(db, aq, table, cfg, prebuilt)?
-        }
-        TaskType::Recommendation => run_recommendation(db, aq, table, cfg, prebuilt)?,
-        TaskType::Multiclass => run_multiclass(db, aq, table, cfg, prebuilt)?,
-    };
-    if obs::enabled() {
-        for (name, value) in &metrics {
-            obs::gauge(&format!("metric.{name}"), *value);
-        }
-        obs::add("pq.predictions", predictions.len() as u64);
+/// One run of an analyzed query over its training table: what every task
+/// runner reads.
+#[derive(Clone, Copy)]
+struct Run<'a> {
+    db: &'a Database,
+    aq: &'a AnalyzedQuery,
+    table: &'a TrainingTable,
+    cfg: &'a ExecConfig,
+    prebuilt: PrebuiltGraph<'a>,
+}
+
+/// The entities a run predicts for: those alive at the deploy anchor (the
+/// database's latest timestamp), capped at `max_predictions`.
+struct Deploy {
+    anchor: Timestamp,
+    rows: Vec<usize>,
+}
+
+impl Deploy {
+    /// The deploy rows as seeds of `node_type`.
+    fn seeds(&self, node_type: NodeTypeId) -> Vec<Seed> {
+        self.rows
+            .iter()
+            .map(|&r| Seed {
+                node_type,
+                node: r,
+                time: self.anchor,
+            })
+            .collect()
     }
-    Ok(QueryOutcome {
-        task: aq.task,
-        model: cfg.model,
-        metrics,
-        predictions,
-        explain: explain_text,
-        train_size: table.train.len(),
-        val_size: table.val.len(),
-        test_size: table.test.len(),
-    })
+}
+
+/// A GNN arm's outcome: the trained model, the entity node type it was
+/// trained for, and its test-split and deploy predictions.
+struct GnnFit<M, P> {
+    model: M,
+    node_type: NodeTypeId,
+    test: Vec<P>,
+    deploy: Vec<P>,
+}
+
+impl Run<'_> {
+    /// The run's [`Deploy`] rows.
+    fn deploy(&self) -> PqResult<Deploy> {
+        let anchor = deploy_anchor(self.db);
+        let mut rows = alive_entities(self.db, self.aq, anchor)?;
+        if let Some(cap) = self.cfg.max_predictions {
+            rows.truncate(cap);
+        }
+        Ok(Deploy { anchor, rows })
+    }
+
+    /// Run a GNN arm on the graph it trains on — the prebuilt one, or one
+    /// compiled from the database here — with the entity node type, checked
+    /// to cover every entity row.
+    fn with_graph<R>(
+        &self,
+        arm: impl FnOnce(&HeteroGraph, &GraphMapping, NodeTypeId) -> PqResult<R>,
+    ) -> PqResult<R> {
+        let built;
+        let (graph, mapping) = match self.prebuilt {
+            Some(gm) => gm,
+            None => {
+                built = build_graph(self.db, &ConvertOptions::default())?;
+                (&built.0, &built.1)
+            }
+        };
+        let node_type =
+            resolve_covered_node_type(self.db, graph, mapping, &self.aq.entity_table, "entity")?;
+        arm(graph, mapping, node_type)
+    }
+
+    /// The GNN arm of the node-level tasks: train with `train` on the
+    /// train/val examples as seeds labelled `labels`, then predict the test
+    /// split and `deploy` (when given) with `predict`.
+    fn fit_gnn<L: Copy, M, P>(
+        &self,
+        labels: (&[L], &[L]),
+        deploy: Option<&Deploy>,
+        train: impl FnOnce(&HeteroGraph, &[(Seed, L)], &[(Seed, L)], &TrainConfig) -> GnnResult<M>,
+        predict: impl Fn(&M, &HeteroGraph, &[Seed]) -> Vec<P>,
+    ) -> PqResult<GnnFit<M, P>> {
+        self.with_graph(|graph, _, node_type| {
+            let seeds = |examples: &[Example]| -> Vec<Seed> {
+                examples.iter().map(|e| seed_of(node_type, e)).collect()
+            };
+            let labelled = |examples: &[Example], labels: &[L]| -> Vec<(Seed, L)> {
+                seeds(examples)
+                    .into_iter()
+                    .zip(labels.iter().copied())
+                    .collect()
+            };
+            let train_set = labelled(&self.table.train, labels.0);
+            let val_set = labelled(&self.table.val, labels.1);
+            let model = train(graph, &train_set, &val_set, &self.cfg.train_config())?;
+            let test = predict(&model, graph, &seeds(&self.table.test));
+            let deploy =
+                deploy.map_or_else(Vec::new, |d| predict(&model, graph, &d.seeds(node_type)));
+            Ok(GnnFit {
+                model,
+                node_type,
+                test,
+                deploy,
+            })
+        })
+    }
+
+    /// [`fit_gnn`](Self::fit_gnn) for a classification or regression query.
+    fn fit_node_gnn(&self, deploy: Option<&Deploy>) -> PqResult<GnnFit<NodeModel, f64>> {
+        let task = match self.aq.task {
+            TaskType::Classification => TaskKind::Binary,
+            _ => TaskKind::Regression,
+        };
+        let (train, val) = (scalars(&self.table.train), scalars(&self.table.val));
+        self.fit_gnn(
+            (&train, &val),
+            deploy,
+            |graph, train, val, tc| train_node_model(graph, task, train, val, tc),
+            |model, graph, seeds| model.predict(graph, seeds),
+        )
+    }
+
+    /// The tabular arms' inputs: engineered features of the train and test
+    /// examples at their anchors and of the deploy rows at the deploy
+    /// anchor, in that order.
+    fn features(&self, deploy: &Deploy) -> PqResult<[Vec<Vec<f64>>; 3]> {
+        let exec_err = |e: relgraph_store::StoreError| PqError::Execution(e.to_string());
+        let fe = FeatureEngineer::new(
+            self.db,
+            &self.aq.entity_table,
+            FeatureConfig {
+                windows_days: self.cfg.feature_windows.clone(),
+                max_features: self.cfg.max_features,
+                ..Default::default()
+            },
+        )
+        .map_err(exec_err)?;
+        let at_anchors = |ex: &[Example]| -> Vec<(usize, Timestamp)> {
+            ex.iter().map(|e| (e.entity_row, e.anchor)).collect()
+        };
+        let deploy_pairs: Vec<(usize, Timestamp)> =
+            deploy.rows.iter().map(|&r| (r, deploy.anchor)).collect();
+        Ok([
+            fe.compute(self.db, &at_anchors(&self.table.train))
+                .map_err(exec_err)?,
+            fe.compute(self.db, &at_anchors(&self.table.test))
+                .map_err(exec_err)?,
+            fe.compute(self.db, &deploy_pairs).map_err(exec_err)?,
+        ])
+    }
+}
+
+/// An example's entity row, as a seed of `node_type` at the example's
+/// anchor.
+fn seed_of(node_type: NodeTypeId, e: &Example) -> Seed {
+    Seed {
+        node_type,
+        node: e.entity_row,
+        time: e.anchor,
+    }
+}
+
+/// The scalar labels of classification or regression examples.
+fn scalars(examples: &[Example]) -> Vec<f64> {
+    examples.iter().map(|e| e.label.scalar()).collect()
 }
 
 /// Deploy anchor: the latest timestamp in the database.
@@ -627,33 +755,22 @@ fn node_metrics(task: TaskType, preds: &[f64], truth: &[f64]) -> Vec<(String, f6
 /// Execute a MODE (multiclass) query: class vocabulary from the training
 /// split; unseen test classes keep their own indices (never predictable,
 /// always counted as errors).
-fn run_multiclass(
-    db: &Database,
-    aq: &AnalyzedQuery,
-    table: &TrainingTable,
-    cfg: &ExecConfig,
-    prebuilt: PrebuiltGraph<'_>,
-) -> PqResult<MetricsAndPredictions> {
-    let mut classes: Vec<String> = Vec::new();
-    let class_index = |name: &str, classes: &mut Vec<String>| -> usize {
-        match classes.iter().position(|c| c == name) {
+fn run_multiclass(run: Run<'_>) -> PqResult<MetricsAndPredictions> {
+    let Run { table, cfg, .. } = run;
+    // Class indices in first-seen order, growing `classes` as needed.
+    let index = |examples: &[Example], classes: &mut Vec<String>| -> Vec<usize> {
+        let mut of = |name: &str| match classes.iter().position(|c| c == name) {
             Some(i) => i,
             None => {
                 classes.push(name.to_string());
                 classes.len() - 1
             }
-        }
+        };
+        examples.iter().map(|e| of(e.label.class())).collect()
     };
-    let train_idx: Vec<usize> = table
-        .train
-        .iter()
-        .map(|e| class_index(e.label.class(), &mut classes))
-        .collect();
-    let val_idx: Vec<usize> = table
-        .val
-        .iter()
-        .map(|e| class_index(e.label.class(), &mut classes))
-        .collect();
+    let mut classes: Vec<String> = Vec::new();
+    let train_idx = index(&table.train, &mut classes);
+    let val_idx = index(&table.val, &mut classes);
     let k = classes.len();
     if k < 2 {
         return Err(PqError::TrainingTable(format!(
@@ -662,127 +779,40 @@ fn run_multiclass(
     }
     // Test truth may extend the vocabulary (unseen classes stay wrong).
     let mut ext_classes = classes.clone();
-    let test_idx: Vec<usize> = table
-        .test
-        .iter()
-        .map(|e| class_index(e.label.class(), &mut ext_classes))
-        .collect();
+    let test_idx = index(&table.test, &mut ext_classes);
     let n_ext = ext_classes.len();
-
-    let deploy = deploy_anchor(db);
-    let deploy_rows = {
-        let mut rows = alive_entities(db, aq, deploy)?;
-        if let Some(cap) = cfg.max_predictions {
-            rows.truncate(cap);
-        }
-        rows
-    };
+    let deploy = run.deploy()?;
 
     let (test_pred, deploy_pred): (Vec<usize>, Vec<usize>) = match cfg.model {
         ModelChoice::Gnn => {
-            let built;
-            let (graph, mapping) = match prebuilt {
-                Some(gm) => gm,
-                None => {
-                    built = build_graph(db, &ConvertOptions::default())?;
-                    (&built.0, &built.1)
-                }
-            };
-            let node_type =
-                resolve_covered_node_type(db, graph, mapping, &aq.entity_table, "entity")?;
-            let to_seed = |e: &Example| Seed {
-                node_type,
-                node: e.entity_row,
-                time: e.anchor,
-            };
-            let train: Vec<(Seed, usize)> = table
-                .train
-                .iter()
-                .map(to_seed)
-                .zip(train_idx.iter().copied())
-                .collect();
-            let val: Vec<(Seed, usize)> = table
-                .val
-                .iter()
-                .map(to_seed)
-                .zip(val_idx.iter().copied())
-                .collect();
-            let tc = TrainConfig {
-                epochs: cfg.epochs,
-                batch_size: cfg.batch_size,
-                lr: cfg.lr,
-                fanouts: cfg.fanouts.clone(),
-                hidden_dim: cfg.hidden_dim,
-                seed: cfg.seed,
-                temporal: cfg.temporal,
-                degree_features: cfg.degree_features,
-                aggregation: cfg.aggregation,
-                ..Default::default()
-            };
-            let model = train_multiclass_model(graph, classes.clone(), &train, &val, &tc)?;
-            let test_seeds: Vec<Seed> = table.test.iter().map(to_seed).collect();
-            let deploy_seeds: Vec<Seed> = deploy_rows
-                .iter()
-                .map(|&r| Seed {
-                    node_type,
-                    node: r,
-                    time: deploy,
-                })
-                .collect();
-            (
-                model.predict(graph, &test_seeds),
-                model.predict(graph, &deploy_seeds),
-            )
+            let fit = run.fit_gnn(
+                (&train_idx, &val_idx),
+                Some(&deploy),
+                |graph, train, val, tc| {
+                    train_multiclass_model(graph, classes.clone(), train, val, tc)
+                },
+                |model, graph, seeds| model.predict(graph, seeds),
+            )?;
+            (fit.test, fit.deploy)
         }
         ModelChoice::Trivial => {
             let m =
                 MajorityClass::fit(&train_idx, k).map_err(|e| PqError::Execution(e.to_string()))?;
-            (m.predict(table.test.len()), m.predict(deploy_rows.len()))
+            (m.predict(table.test.len()), m.predict(deploy.rows.len()))
         }
-        ModelChoice::Gbdt | ModelChoice::LogReg => {
-            let fe = FeatureEngineer::new(
-                db,
-                &aq.entity_table,
-                FeatureConfig {
-                    windows_days: cfg.feature_windows.clone(),
-                    max_features: cfg.max_features,
-                    ..Default::default()
-                },
-            )
-            .map_err(|e| PqError::Execution(e.to_string()))?;
-            let seeds_of = |ex: &[Example]| -> Vec<(usize, Timestamp)> {
-                ex.iter().map(|e| (e.entity_row, e.anchor)).collect()
+        ModelChoice::Gbdt => {
+            let [x_train, x_test, x_deploy] = run.features(&deploy)?;
+            let gbdt = GbdtConfig {
+                rounds: cfg.gbdt_rounds,
+                ..Default::default()
             };
-            let x_train = fe
-                .compute(db, &seeds_of(&table.train))
-                .map_err(|e| PqError::Execution(e.to_string()))?;
-            let x_test = fe
-                .compute(db, &seeds_of(&table.test))
-                .map_err(|e| PqError::Execution(e.to_string()))?;
-            let deploy_pairs: Vec<(usize, Timestamp)> =
-                deploy_rows.iter().map(|&r| (r, deploy)).collect();
-            let x_deploy = fe
-                .compute(db, &deploy_pairs)
-                .map_err(|e| PqError::Execution(e.to_string()))?;
-            match cfg.model {
-                ModelChoice::Gbdt => {
-                    let m = MulticlassGbdt::fit(
-                        &x_train,
-                        &train_idx,
-                        k,
-                        &GbdtConfig {
-                            rounds: cfg.gbdt_rounds,
-                            ..Default::default()
-                        },
-                    )?;
-                    (m.predict(&x_test), m.predict(&x_deploy))
-                }
-                _ => {
-                    let m =
-                        MulticlassLogReg::fit(&x_train, &train_idx, k, &LinearConfig::default())?;
-                    (m.predict(&x_test), m.predict(&x_deploy))
-                }
-            }
+            let m = MulticlassGbdt::fit(&x_train, &train_idx, k, &gbdt)?;
+            (m.predict(&x_test), m.predict(&x_deploy))
+        }
+        ModelChoice::LogReg => {
+            let [x_train, x_test, x_deploy] = run.features(&deploy)?;
+            let m = MulticlassLogReg::fit(&x_train, &train_idx, k, &LinearConfig::default())?;
+            (m.predict(&x_test), m.predict(&x_deploy))
         }
         other => {
             return Err(PqError::Analyze(format!(
@@ -802,164 +832,66 @@ fn run_multiclass(
         ),
         ("classes".to_string(), k as f64),
     ];
-    let predictions = deploy_rows
+    let predictions = deploy
+        .rows
         .iter()
         .zip(&deploy_pred)
         .map(|(&row, &c)| Prediction {
-            entity_key: entity_key(db, aq, row),
+            entity_key: entity_key(run.db, run.aq, row),
             value: PredictionValue::Class(classes[c].clone()),
         })
         .collect();
     Ok((metrics, predictions))
 }
 
-fn run_node_task(
-    db: &Database,
-    aq: &AnalyzedQuery,
-    table: &TrainingTable,
-    cfg: &ExecConfig,
-    prebuilt: PrebuiltGraph<'_>,
-) -> PqResult<MetricsAndPredictions> {
-    let test_truth: Vec<f64> = table.test.iter().map(|e| e.label.scalar()).collect();
-    let deploy = deploy_anchor(db);
-    let deploy_rows = {
-        let mut rows = alive_entities(db, aq, deploy)?;
-        if let Some(cap) = cfg.max_predictions {
-            rows.truncate(cap);
-        }
-        rows
-    };
+fn run_node_task(run: Run<'_>) -> PqResult<MetricsAndPredictions> {
+    let Run { aq, table, cfg, .. } = run;
+    let test_truth = scalars(&table.test);
+    let deploy = run.deploy()?;
 
     let (test_preds, deploy_preds) = match cfg.model {
         ModelChoice::Gnn => {
-            let built;
-            let (graph, mapping) = match prebuilt {
-                Some(gm) => gm,
-                None => {
-                    built = build_graph(db, &ConvertOptions::default())?;
-                    (&built.0, &built.1)
-                }
-            };
-            let node_type =
-                resolve_covered_node_type(db, graph, mapping, &aq.entity_table, "entity")?;
-            let to_seed = |e: &Example| Seed {
-                node_type,
-                node: e.entity_row,
-                time: e.anchor,
-            };
-            let train: Vec<(Seed, f64)> = table
-                .train
-                .iter()
-                .map(|e| (to_seed(e), e.label.scalar()))
-                .collect();
-            let val: Vec<(Seed, f64)> = table
-                .val
-                .iter()
-                .map(|e| (to_seed(e), e.label.scalar()))
-                .collect();
-            let task = match aq.task {
-                TaskType::Classification => TaskKind::Binary,
-                _ => TaskKind::Regression,
-            };
-            let tc = TrainConfig {
-                epochs: cfg.epochs,
-                batch_size: cfg.batch_size,
-                lr: cfg.lr,
-                fanouts: cfg.fanouts.clone(),
-                hidden_dim: cfg.hidden_dim,
-                seed: cfg.seed,
-                temporal: cfg.temporal,
-                degree_features: cfg.degree_features,
-                aggregation: cfg.aggregation,
-                ..Default::default()
-            };
-            let model = train_node_model(graph, task, &train, &val, &tc)?;
-            let test_seeds: Vec<Seed> = table.test.iter().map(to_seed).collect();
-            let test_preds = model.predict(graph, &test_seeds);
-            let deploy_seeds: Vec<Seed> = deploy_rows
-                .iter()
-                .map(|&r| Seed {
-                    node_type,
-                    node: r,
-                    time: deploy,
-                })
-                .collect();
-            let deploy_preds = model.predict(graph, &deploy_seeds);
-            (test_preds, deploy_preds)
+            let fit = run.fit_node_gnn(Some(&deploy))?;
+            (fit.test, fit.deploy)
         }
         ModelChoice::Trivial => {
-            let train_labels: Vec<f64> = table.train.iter().map(|e| e.label.scalar()).collect();
+            let train_labels = scalars(&table.train);
             match aq.task {
                 TaskType::Classification => {
                     let m = PriorClassifier::fit(&train_labels);
-                    (m.predict(table.test.len()), m.predict(deploy_rows.len()))
+                    (m.predict(table.test.len()), m.predict(deploy.rows.len()))
                 }
                 _ => {
                     let m = MeanRegressor::fit(&train_labels);
-                    (m.predict(table.test.len()), m.predict(deploy_rows.len()))
+                    (m.predict(table.test.len()), m.predict(deploy.rows.len()))
                 }
             }
         }
         ModelChoice::Gbdt | ModelChoice::LogReg | ModelChoice::LinReg => {
-            let fe = FeatureEngineer::new(
-                db,
-                &aq.entity_table,
-                FeatureConfig {
-                    windows_days: cfg.feature_windows.clone(),
-                    max_features: cfg.max_features,
-                    ..Default::default()
-                },
-            )
-            .map_err(|e| PqError::Execution(e.to_string()))?;
-            let seeds_of = |ex: &[Example]| -> Vec<(usize, Timestamp)> {
-                ex.iter().map(|e| (e.entity_row, e.anchor)).collect()
-            };
-            let x_train = fe
-                .compute(db, &seeds_of(&table.train))
-                .map_err(|e| PqError::Execution(e.to_string()))?;
-            let y_train: Vec<f64> = table.train.iter().map(|e| e.label.scalar()).collect();
-            let x_test = fe
-                .compute(db, &seeds_of(&table.test))
-                .map_err(|e| PqError::Execution(e.to_string()))?;
-            let deploy_pairs: Vec<(usize, Timestamp)> =
-                deploy_rows.iter().map(|&r| (r, deploy)).collect();
-            let x_deploy = fe
-                .compute(db, &deploy_pairs)
-                .map_err(|e| PqError::Execution(e.to_string()))?;
-            match (cfg.model, aq.task) {
-                (ModelChoice::Gbdt, TaskType::Classification) => {
-                    let m = Gbdt::fit(
-                        &x_train,
-                        &y_train,
-                        GbdtObjective::Binary,
-                        &GbdtConfig {
-                            rounds: cfg.gbdt_rounds,
-                            ..Default::default()
-                        },
-                    )?;
+            let [x_train, x_test, x_deploy] = run.features(&deploy)?;
+            let y_train = scalars(&table.train);
+            let linear = LinearConfig::default();
+            match cfg.model {
+                ModelChoice::Gbdt => {
+                    let objective = match aq.task {
+                        TaskType::Classification => GbdtObjective::Binary,
+                        _ => GbdtObjective::Regression,
+                    };
+                    let gbdt = GbdtConfig {
+                        rounds: cfg.gbdt_rounds,
+                        ..Default::default()
+                    };
+                    let m = Gbdt::fit(&x_train, &y_train, objective, &gbdt)?;
                     (m.predict(&x_test), m.predict(&x_deploy))
                 }
-                (ModelChoice::Gbdt, _) => {
-                    let m = Gbdt::fit(
-                        &x_train,
-                        &y_train,
-                        GbdtObjective::Regression,
-                        &GbdtConfig {
-                            rounds: cfg.gbdt_rounds,
-                            ..Default::default()
-                        },
-                    )?;
-                    (m.predict(&x_test), m.predict(&x_deploy))
-                }
-                (ModelChoice::LogReg, _) => {
-                    let m = LogisticRegressor::fit(&x_train, &y_train, &LinearConfig::default())?;
+                ModelChoice::LogReg => {
+                    let m = LogisticRegressor::fit(&x_train, &y_train, &linear)?;
                     (m.predict_proba(&x_test), m.predict_proba(&x_deploy))
                 }
-                (ModelChoice::LinReg, _) => {
-                    let m = LinearRegressor::fit(&x_train, &y_train, &LinearConfig::default())?;
+                _ => {
+                    let m = LinearRegressor::fit(&x_train, &y_train, &linear)?;
                     (m.predict(&x_test), m.predict(&x_deploy))
                 }
-                _ => unreachable!(),
             }
         }
         ModelChoice::Popularity | ModelChoice::CoVisit => {
@@ -972,11 +904,12 @@ fn run_node_task(
 
     let _eval = obs::span("pq.eval");
     let metrics = node_metrics(aq.task, &test_preds, &test_truth);
-    let predictions = deploy_rows
+    let predictions = deploy
+        .rows
         .iter()
         .zip(&deploy_preds)
         .map(|(&row, &score)| Prediction {
-            entity_key: entity_key(db, aq, row),
+            entity_key: entity_key(run.db, aq, row),
             value: PredictionValue::Score(score),
         })
         .collect();
@@ -1050,25 +983,15 @@ fn history_before(
     }
 }
 
-fn run_recommendation(
-    db: &Database,
-    aq: &AnalyzedQuery,
-    table: &TrainingTable,
-    cfg: &ExecConfig,
-    prebuilt: PrebuiltGraph<'_>,
-) -> PqResult<MetricsAndPredictions> {
+fn run_recommendation(run: Run<'_>) -> PqResult<MetricsAndPredictions> {
+    let Run {
+        db, aq, table, cfg, ..
+    } = run;
     let item_table_name = aq.item_table.as_deref().expect("recommendation item table");
     let item_table = db.table(item_table_name)?;
     let index = interaction_index(db, aq)?;
     let k = cfg.top_k;
-    let deploy = deploy_anchor(db);
-    let deploy_rows = {
-        let mut rows = alive_entities(db, aq, deploy)?;
-        if let Some(cap) = cfg.max_predictions {
-            rows.truncate(cap);
-        }
-        rows
-    };
+    let deploy = run.deploy()?;
 
     // Evaluation targets: test examples with at least one future positive.
     let eval: Vec<&Example> = table
@@ -1087,31 +1010,13 @@ fn run_recommendation(
         .collect();
 
     let (recommended, deploy_recs): (Vec<Vec<u64>>, Vec<Vec<usize>>) = match cfg.model {
-        ModelChoice::Gnn => {
-            let built;
-            let (graph, mapping) = match prebuilt {
-                Some(gm) => gm,
-                None => {
-                    built = build_graph(db, &ConvertOptions::default())?;
-                    (&built.0, &built.1)
-                }
-            };
-            let node_type =
-                resolve_covered_node_type(db, graph, mapping, &aq.entity_table, "entity")?;
+        ModelChoice::Gnn => run.with_graph(|graph, mapping, node_type| {
             let item_type = resolve_covered_node_type(db, graph, mapping, item_table_name, "item")?;
-            let to_pairs = |examples: &[Example]| {
-                let mut pairs = Vec::new();
-                for e in examples {
-                    let seed = Seed {
-                        node_type,
-                        node: e.entity_row,
-                        time: e.anchor,
-                    };
-                    for &item in e.label.items() {
-                        pairs.push((seed, item));
-                    }
-                }
-                pairs
+            let to_pairs = |examples: &[Example]| -> Vec<(Seed, usize)> {
+                examples
+                    .iter()
+                    .flat_map(|e| e.label.items().iter().map(|&i| (seed_of(node_type, e), i)))
+                    .collect()
             };
             let pairs = to_pairs(&table.train);
             let val_pairs = to_pairs(&table.val);
@@ -1128,14 +1033,7 @@ fn run_recommendation(
                 ..Default::default()
             };
             let model = train_two_tower(graph, item_type, &pairs, &val_pairs, &tt_cfg)?;
-            let seeds: Vec<Seed> = eval
-                .iter()
-                .map(|e| Seed {
-                    node_type,
-                    node: e.entity_row,
-                    time: e.anchor,
-                })
-                .collect();
+            let seeds: Vec<Seed> = eval.iter().map(|e| seed_of(node_type, e)).collect();
             let exclude: Vec<HashSet<usize>> = eval
                 .iter()
                 .map(|e| {
@@ -1145,26 +1043,23 @@ fn run_recommendation(
                 })
                 .collect();
             let recs = model.recommend(graph, &seeds, k, &exclude);
-            let deploy_seeds: Vec<Seed> = deploy_rows
+            let deploy_exclude: Vec<HashSet<usize>> = deploy
+                .rows
                 .iter()
-                .map(|&r| Seed {
-                    node_type,
-                    node: r,
-                    time: deploy,
+                .map(|&r| {
+                    history_before(&index, r, deploy.anchor)
+                        .into_iter()
+                        .collect()
                 })
                 .collect();
-            let deploy_exclude: Vec<HashSet<usize>> = deploy_rows
-                .iter()
-                .map(|&r| history_before(&index, r, deploy).into_iter().collect())
-                .collect();
-            let deploy_recs = model.recommend(graph, &deploy_seeds, k, &deploy_exclude);
-            (
+            let deploy_recs = model.recommend(graph, &deploy.seeds(node_type), k, &deploy_exclude);
+            Ok((
                 recs.into_iter()
                     .map(|r| r.into_iter().map(|i| i as u64).collect())
                     .collect(),
                 deploy_recs,
-            )
-        }
+            ))
+        })?,
         ModelChoice::Popularity | ModelChoice::CoVisit | ModelChoice::Trivial => {
             // Fit on interactions visible at the *latest training anchor*.
             let train_cut = table
@@ -1173,7 +1068,7 @@ fn run_recommendation(
                 .chain(&table.val)
                 .map(|e| e.anchor)
                 .max()
-                .unwrap_or(deploy);
+                .unwrap_or(deploy.anchor);
             let mut interactions: Vec<(u64, u64)> = Vec::new();
             for (&erow, rows) in &index {
                 for &(t, item) in rows {
@@ -1182,32 +1077,34 @@ fn run_recommendation(
                     }
                 }
             }
-            let recommend_for = |entity: usize, anchor: Timestamp| -> Vec<u64> {
-                let history: Vec<u64> = history_before(&index, entity, anchor)
-                    .into_iter()
-                    .map(|i| i as u64)
-                    .collect();
-                match cfg.model {
-                    ModelChoice::CoVisit => CO_VISIT
-                        .with(|c| c.borrow().as_ref().expect("fitted").recommend(&history, k)),
-                    _ => {
-                        let seen: HashSet<u64> = history.into_iter().collect();
-                        POPULARITY
-                            .with(|c| c.borrow().as_ref().expect("fitted").recommend(k, &seen))
-                    }
+            // Only the chosen recommender is fitted; Trivial is popularity.
+            let recommend: Box<dyn Fn(Vec<u64>) -> Vec<u64>> = match cfg.model {
+                ModelChoice::CoVisit => {
+                    let m = CoVisitRecommender::fit(&interactions);
+                    Box::new(move |history| m.recommend(&history, k))
+                }
+                _ => {
+                    let m = PopularityRecommender::fit(&interactions);
+                    Box::new(move |history| m.recommend(k, &history.into_iter().collect()))
                 }
             };
-            // Fit once into thread-locals (simple memo for the two closures).
-            POPULARITY.with(|c| *c.borrow_mut() = Some(PopularityRecommender::fit(&interactions)));
-            CO_VISIT.with(|c| *c.borrow_mut() = Some(CoVisitRecommender::fit(&interactions)));
+            let recommend_for = |entity: usize, anchor: Timestamp| -> Vec<u64> {
+                recommend(
+                    history_before(&index, entity, anchor)
+                        .into_iter()
+                        .map(|i| i as u64)
+                        .collect(),
+                )
+            };
             let recs: Vec<Vec<u64>> = eval
                 .iter()
                 .map(|e| recommend_for(e.entity_row, e.anchor))
                 .collect();
-            let deploy_recs: Vec<Vec<usize>> = deploy_rows
+            let deploy_recs: Vec<Vec<usize>> = deploy
+                .rows
                 .iter()
                 .map(|&r| {
-                    recommend_for(r, deploy)
+                    recommend_for(r, deploy.anchor)
                         .into_iter()
                         .map(|i| i as usize)
                         .collect()
@@ -1242,7 +1139,8 @@ fn run_recommendation(
             "item table `{item_table_name}` needs a primary key"
         ))
     })?;
-    let predictions = deploy_rows
+    let predictions = deploy
+        .rows
         .iter()
         .zip(deploy_recs)
         .map(|(&row, items)| Prediction {
@@ -1256,13 +1154,6 @@ fn run_recommendation(
         })
         .collect();
     Ok((metrics, predictions))
-}
-
-thread_local! {
-    static POPULARITY: std::cell::RefCell<Option<PopularityRecommender>> =
-        const { std::cell::RefCell::new(None) };
-    static CO_VISIT: std::cell::RefCell<Option<CoVisitRecommender>> =
-        const { std::cell::RefCell::new(None) };
 }
 
 #[cfg(test)]

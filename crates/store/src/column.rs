@@ -8,7 +8,7 @@
 use crate::value::{DataType, Timestamp, Value};
 
 /// A typed column of cells with a validity (non-null) mask.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub enum Column {
     Int {
         data: Vec<i64>,
@@ -40,6 +40,40 @@ pub enum Column {
 fn text_cell<'a>(bytes: &'a str, ends: &[usize], i: usize) -> &'a str {
     let lo = if i == 0 { 0 } else { ends[i - 1] };
     &bytes[lo..ends[i]]
+}
+
+/// Columns are equal when their cells are stored identically: float cells
+/// compare by bit pattern, so a column holding a NaN equals itself and a
+/// bit-identical reload. ([`Value`]'s `==` keeps IEEE semantics, which
+/// predicates such as `0.0 == -0.0` rely on.)
+impl PartialEq for Column {
+    fn eq(&self, other: &Self) -> bool {
+        use Column::*;
+        match (self, other) {
+            (Int { data: a, valid: x }, Int { data: b, valid: y }) => a == b && x == y,
+            (Float { data: a, valid: x }, Float { data: b, valid: y }) => {
+                x == y
+                    && a.iter()
+                        .map(|v| v.to_bits())
+                        .eq(b.iter().map(|v| v.to_bits()))
+            }
+            (
+                Text {
+                    bytes: a,
+                    ends: e,
+                    valid: x,
+                },
+                Text {
+                    bytes: b,
+                    ends: f,
+                    valid: y,
+                },
+            ) => a == b && e == f && x == y,
+            (Bool { data: a, valid: x }, Bool { data: b, valid: y }) => a == b && x == y,
+            (Timestamp { data: a, valid: x }, Timestamp { data: b, valid: y }) => a == b && x == y,
+            _ => false,
+        }
+    }
 }
 
 impl Column {

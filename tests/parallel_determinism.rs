@@ -8,10 +8,10 @@
 //! tables, featurization, and full GNN training runs.
 
 use relgraph::db2graph::{build_graph, ConvertOptions};
-use relgraph::gnn::{train_node_model, TaskKind, TrainConfig};
+use relgraph::gnn::{train_multiclass_model, train_node_model, TaskKind, TrainConfig};
 use relgraph::graph::{SamplerConfig, Seed, TemporalSampler};
 use relgraph::pq::traintable::TrainTableConfig;
-use relgraph::pq::{analyze, build_training_table, parse};
+use relgraph::pq::{analyze, build_training_table, parse, Example};
 use relgraph::prelude::*;
 use relgraph::tensor::{ActKind, Graph, Tensor};
 
@@ -291,5 +291,58 @@ fn thread_count_never_changes_results() {
                 "prediction {i} diverges for the {threads}-thread-trained model"
             );
         }
+    }
+
+    // Multiclass training (the same epoch loop over class-index labels):
+    // losses and class probabilities must match exactly too.
+    let aq = analyze(
+        &db,
+        parse("PREDICT MODE(orders.channel, 0, 60) FOR EACH customers.customer_id").unwrap(),
+    )
+    .unwrap();
+    let mt = build_training_table(&db, &aq, &cfg).unwrap();
+    let mut classes: Vec<String> = Vec::new();
+    let mut labelled = |examples: &[Example]| -> Vec<(Seed, usize)> {
+        examples
+            .iter()
+            .map(|e| {
+                let name = e.label.class();
+                let c = classes.iter().position(|c| c == name).unwrap_or_else(|| {
+                    classes.push(name.to_string());
+                    classes.len() - 1
+                });
+                let seed = Seed {
+                    node_type: cust,
+                    node: e.entity_row,
+                    time: e.anchor,
+                };
+                (seed, c)
+            })
+            .collect()
+    };
+    let (mc_train, mc_val) = (labelled(&mt.train), labelled(&mt.val));
+    assert!(classes.len() >= 2, "MODE fixture has {classes:?}");
+    let train_mc = |threads| {
+        with_threads(threads, || {
+            train_multiclass_model(&g1, classes.clone(), &mc_train, &mc_val, &tcfg).unwrap()
+        })
+    };
+    let (mc1, mc4) = (train_mc(1), train_mc(4));
+    assert_eq!(
+        mc1.report.train_losses, mc4.report.train_losses,
+        "multiclass train losses diverge across threads"
+    );
+    assert_eq!(
+        mc1.report.val_losses, mc4.report.val_losses,
+        "multiclass val losses diverge across threads"
+    );
+    let mc_seeds: Vec<Seed> = mc_train.iter().map(|&(s, _)| s).take(40).collect();
+    let base = with_threads(1, || mc1.predict_proba(&g1, &mc_seeds));
+    for threads in [2, 4, 7] {
+        let got = with_threads(threads, || mc4.predict_proba(&g1, &mc_seeds));
+        assert_eq!(
+            base, got,
+            "class probabilities diverge at {threads} threads"
+        );
     }
 }
