@@ -2,19 +2,21 @@
 
 use relgraph_graph::sampler::{DEGREE_WINDOWS_DAYS, SECONDS_PER_DAY};
 use relgraph_graph::{HeteroGraph, NodeTypeId, SampledSubgraph, ALWAYS_VISIBLE};
-use relgraph_tensor::Tensor;
+use relgraph_tensor::{Graph, Var};
 
-/// A mini-batch ready for the GNN: per-node-type feature tensors plus the
-/// subgraph's connectivity. Feature layout per node: the node type's raw
-/// features, two temporal slots — `ln(1 + age_in_days)` relative to the
-/// seed's anchor and a static flag (1.0 for nodes without a creation time)
-/// — and one `ln(1 + visible_degree)` slot per (edge type, look-back
-/// window) pair (mean aggregation is degree-invariant, so multi-scale
-/// event *counts* must be explicit features).
+/// A mini-batch ready for the GNN: per-node-type feature constants on the
+/// tape it was built on, plus the subgraph's connectivity. Feature layout
+/// per node: the node type's raw features, two temporal slots —
+/// `ln(1 + age_in_days)` relative to the seed's anchor and a static flag
+/// (1.0 for nodes without a creation time) — and one
+/// `ln(1 + visible_degree)` slot per (edge type, look-back window) pair
+/// (mean aggregation is degree-invariant, so multi-scale event *counts*
+/// must be explicit features).
 #[derive(Debug, Clone)]
 pub struct Batch {
-    /// Per node type: `n_local × (raw_dim + 2)` input features.
-    pub features: Vec<Tensor>,
+    /// Per node type: the `n_local × input_dim` input features, a constant
+    /// whose buffer comes from the tape's pool.
+    pub features: Vec<Var>,
     /// Per edge type: `(src_local, dst_local)` pairs (same ids as the
     /// subgraph).
     pub edges: Vec<Vec<(u32, u32)>>,
@@ -28,11 +30,6 @@ impl Batch {
     /// Number of seeds.
     pub fn num_seeds(&self) -> usize {
         self.seed_locals.len()
-    }
-
-    /// Input dimension for a node type (raw + 2 temporal slots).
-    pub fn input_dim(&self, t: NodeTypeId) -> usize {
-        self.features[t.0].cols()
     }
 }
 
@@ -80,18 +77,18 @@ pub(crate) fn write_input_row(
     }
 }
 
-/// Assemble the dense tensors for a sampled subgraph.
-pub fn build_batch(graph: &HeteroGraph, sub: &SampledSubgraph) -> Batch {
+/// Assemble the dense tensors for a sampled subgraph on the tape `g`.
+pub fn build_batch(graph: &HeteroGraph, sub: &SampledSubgraph, g: &mut Graph) -> Batch {
     let dims = input_dims(graph);
     let mut features = Vec::with_capacity(graph.num_node_types());
     for (t, &dim) in dims.iter().enumerate() {
         let locals = &sub.nodes[t];
-        let mut m = Tensor::zeros(locals.len(), dim);
+        let mut m = g.alloc(locals.len(), dim);
         for (l, (&global, &anchor)) in locals.iter().zip(&sub.anchors[t]).enumerate() {
             let degrees = &sub.degrees[t][l];
             write_input_row(graph, NodeTypeId(t), global, anchor, degrees, m.row_mut(l));
         }
-        features.push(m);
+        features.push(g.constant(m));
     }
     Batch {
         features,
@@ -136,27 +133,29 @@ mod tests {
             node: 0,
             time: anchor,
         }]);
-        let batch = build_batch(&g, &sub);
+        let mut tape = Graph::new();
+        let batch = build_batch(&g, &sub, &mut tape);
+        let features = |t: usize| tape.value(batch.features[t]);
         assert_eq!(batch.num_seeds(), 1);
         // user features: 1 raw + 2 temporal + 4 degree slots (one edge
         // type x four windows).
-        assert_eq!(batch.input_dim(NodeTypeId(0)), 7);
-        assert_eq!(batch.input_dim(NodeTypeId(1)), 8);
+        assert_eq!(features(0).cols(), 7);
+        assert_eq!(features(1).cols(), 8);
         // User 0 has no creation time → static flag set.
-        let urow = batch.features[0].row(batch.seed_locals[0]);
+        let urow = features(0).row(batch.seed_locals[0]);
         assert_eq!(urow[0], 0.5);
         assert_eq!(urow[1], 0.0);
         assert_eq!(urow[2], 1.0);
         // Orders 0 (age 2 days) and 1 (age 1 day) were sampled.
-        assert_eq!(batch.features[1].rows(), 2);
+        assert_eq!(features(1).rows(), 2);
         for r in 0..2 {
-            let row = batch.features[1].row(r);
+            let row = features(1).row(r);
             assert_eq!(row[3], 0.0, "timed node must not be flagged static");
             assert!(row[2] > 0.0, "age feature should be positive");
         }
         // Seed user placed 2 visible orders at anchor; every window ≥ 7d
         // covers both → ln(3) in each of the four degree slots.
-        let urow = batch.features[0].row(batch.seed_locals[0]);
+        let urow = features(0).row(batch.seed_locals[0]);
         for w in 0..4 {
             assert!(
                 (urow[3 + w] - (3.0f64).ln()).abs() < 1e-9,
@@ -175,8 +174,9 @@ mod tests {
             node: 1,
             time: 0,
         }]);
-        let batch = build_batch(&g, &sub);
-        assert_eq!(batch.features[1].rows(), 0);
-        assert_eq!(batch.features[0].rows(), 1);
+        let mut tape = Graph::new();
+        let batch = build_batch(&g, &sub, &mut tape);
+        assert_eq!(tape.value(batch.features[1]).rows(), 0);
+        assert_eq!(tape.value(batch.features[0]).rows(), 1);
     }
 }

@@ -152,11 +152,7 @@ impl HeteroGnn {
     /// (`num_seeds × hidden` — or raw seed dim for a 0-layer model). Used
     /// by the two-tower recommender.
     pub fn embed(&self, g: &mut Graph, binding: &mut Binding, ps: &ParamSet, batch: &Batch) -> Var {
-        let mut reps: Vec<Var> = batch
-            .features
-            .iter()
-            .map(|t| g.constant_copied(t))
-            .collect();
+        let mut reps = batch.features.clone();
         for layer in &self.layers {
             reps = layer.forward(g, binding, ps, &reps, &batch.edges, &self.edge_types);
         }
@@ -179,9 +175,12 @@ mod tests {
         }]
     }
 
-    fn batch() -> Batch {
+    fn batch(g: &mut Graph) -> Batch {
         Batch {
-            features: vec![Tensor::full(3, 4, 0.5), Tensor::full(5, 6, -0.2)],
+            features: vec![
+                g.constant(Tensor::full(3, 4, 0.5)),
+                g.constant(Tensor::full(5, 6, -0.2)),
+            ],
             edges: vec![vec![(0, 1), (1, 2), (2, 4)]],
             seed_type: NodeTypeId(0),
             seed_locals: vec![0, 2],
@@ -200,7 +199,8 @@ mod tests {
         assert_eq!(gnn.num_layers(), 2);
         let mut g = Graph::new();
         let mut b = Binding::new();
-        let out = gnn.forward(&mut g, &mut b, &ps, &batch());
+        let batch = batch(&mut g);
+        let out = gnn.forward(&mut g, &mut b, &ps, &batch);
         assert_eq!(g.value(out).shape(), (2, 1));
         assert!(g.value(out).all_finite());
     }
@@ -216,7 +216,8 @@ mod tests {
         let gnn = HeteroGnn::new(&mut ps, &[4, 6], &edge_types(), 0, &cfg);
         let mut g = Graph::new();
         let mut b = Binding::new();
-        let out = gnn.forward(&mut g, &mut b, &ps, &batch());
+        let batch = batch(&mut g);
+        let out = gnn.forward(&mut g, &mut b, &ps, &batch);
         assert_eq!(g.value(out).shape(), (2, 1));
     }
 
@@ -232,7 +233,8 @@ mod tests {
         let gnn = HeteroGnn::new(&mut ps, &[4, 6], &edge_types(), 0, &cfg);
         let mut g = Graph::new();
         let mut b = Binding::new();
-        let out = gnn.forward(&mut g, &mut b, &ps, &batch());
+        let batch = batch(&mut g);
+        let out = gnn.forward(&mut g, &mut b, &ps, &batch);
         assert_eq!(g.value(out).shape(), (2, 3));
     }
 
@@ -247,7 +249,8 @@ mod tests {
         let gnn = HeteroGnn::new(&mut ps, &[4, 6], &edge_types(), 0, &cfg);
         let mut g = Graph::new();
         let mut b = Binding::new();
-        let out = gnn.forward(&mut g, &mut b, &ps, &batch());
+        let batch = batch(&mut g);
+        let out = gnn.forward(&mut g, &mut b, &ps, &batch);
         let loss = g.mean_all(out);
         g.backward(loss).unwrap();
         b.accumulate_grads(&g, &mut ps);

@@ -13,6 +13,7 @@ use relgraph_tensor::{Graph, Tensor};
 use crate::batch::{build_batch, input_dims};
 use crate::error::{GnnError, GnnResult};
 use crate::model::{GnnConfig, HeteroGnn};
+use crate::train::with_tape;
 
 /// Hyper-parameters for [`train_two_tower`].
 #[derive(Debug, Clone)]
@@ -87,14 +88,11 @@ impl TwoTowerModel {
         let mut out = Vec::with_capacity(seeds.len());
         for chunk in seeds.chunks(128) {
             let sub = sampler.sample(chunk);
-            let batch = build_batch(graph, &sub);
-            let mut g = Graph::new();
-            let mut binding = Binding::new();
-            let u = self
-                .user_gnn
-                .forward(&mut g, &mut binding, &self.ps, &batch);
-            let u = g.value(u).clone();
-            let scores = u.matmul(&item_t);
+            let scores = with_tape(|g, binding| {
+                let batch = build_batch(graph, &sub, g);
+                let u = self.user_gnn.forward(g, binding, &self.ps, &batch);
+                g.value(u).matmul(&item_t)
+            });
             for r in 0..scores.rows() {
                 out.push(scores.row(r).to_vec());
             }
@@ -131,13 +129,13 @@ impl TwoTowerModel {
     }
 
     fn item_embeddings(&self) -> Tensor {
-        let mut g = Graph::new();
-        let mut binding = Binding::new();
-        let x = g.constant(self.item_features.clone());
-        let proj = self.item_proj.forward(&mut g, &mut binding, &self.ps, x);
-        let free = binding.bind(&mut g, &self.ps, self.item_embed);
-        let e = g.add(proj, free);
-        g.value(e).clone()
+        with_tape(|g, binding| {
+            let x = g.constant_copied(&self.item_features);
+            let proj = self.item_proj.forward(g, binding, &self.ps, x);
+            let free = binding.bind(g, &self.ps, self.item_embed);
+            let e = g.add(proj, free);
+            g.value(e).clone()
+        })
     }
 }
 
@@ -221,7 +219,7 @@ pub fn train_two_tower(
         let seeds: Vec<Seed> = pairs.iter().map(|&(s, _)| s).collect();
         let pos: Vec<usize> = pairs.iter().map(|&(_, p)| p).collect();
         let sub = sampler.sample(&seeds);
-        let batch = build_batch(graph, &sub);
+        let batch = build_batch(graph, &sub, g);
         let u = user_gnn.forward(g, binding, ps, &batch);
         let items = g.constant_copied(&item_features);
         let proj = item_proj.forward(g, binding, ps, items);
@@ -279,22 +277,23 @@ pub fn train_two_tower(
     for epoch in 0..cfg.epochs {
         obs::add("gnn.train.epochs", 1);
         order.shuffle(&mut rng);
-        // Reused tape arena: reset() recycles buffers between minibatches.
-        let mut g = Graph::new();
-        let mut binding = Binding::new();
-        for chunk in order.chunks(cfg.batch_size) {
-            let pairs: Vec<(Seed, usize)> = chunk.iter().map(|&i| train[i]).collect();
-            g.reset();
-            binding.reset();
-            let l = bpr_loss(&mut g, &mut binding, &ps, &pairs, &mut rng);
-            if !g.value(l).item().is_finite() {
-                return Err(GnnError::NumericFailure { epoch });
+        // One tape for every minibatch: reset() recycles its buffers.
+        with_tape(|g, binding| -> GnnResult<()> {
+            for chunk in order.chunks(cfg.batch_size) {
+                let pairs: Vec<(Seed, usize)> = chunk.iter().map(|&i| train[i]).collect();
+                g.reset();
+                binding.reset();
+                let l = bpr_loss(g, binding, &ps, &pairs, &mut rng);
+                if !g.value(l).item().is_finite() {
+                    return Err(GnnError::NumericFailure { epoch });
+                }
+                g.backward(l)?;
+                binding.accumulate_grads(g, &mut ps);
+                clip_global_norm(&mut ps, cfg.clip_norm);
+                opt.step(&mut ps);
             }
-            g.backward(l)?;
-            binding.accumulate_grads(&g, &mut ps);
-            clip_global_norm(&mut ps, cfg.clip_norm);
-            opt.step(&mut ps);
-        }
+            Ok(())
+        })?;
         if !val_groups.is_empty() {
             // Validation recall@k under the current parameters: the metric
             // we actually care about, far less noisy than val BPR loss.

@@ -4,6 +4,8 @@
 //! through the same chunked forward pass; a task differs only in its label
 //! type, its batch loss and how it reads the head's output.
 
+use std::sync::{Mutex, PoisonError};
+
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -317,25 +319,43 @@ impl MulticlassModel {
 /// Seeds per forward pass when predicting.
 const PREDICT_CHUNK: usize = 256;
 
-/// Sample `seeds`, assemble their batch, run the GNN forward pass on the
-/// tape `g` and hand the head's output (one row per seed) to `then`. The
-/// subgraph and batch are freed only after `then` returns, so what `then`
-/// allocates lands above them: freeing them first lets a worker thread's
-/// allocator arena trim and fault its pages back in on every chunk, which
-/// measurably slowed parallel prediction.
-fn forward<R>(
+/// Tapes kept between checkouts, each empty and holding its buffer pool.
+/// The pool grows only when more tapes are checked out at once than it
+/// holds, so it never holds more than the most chunks that ever ran at once.
+/// A poisoned lock is recovered: one `pop` or `push` leaves it valid.
+static TAPES: Mutex<Vec<(Graph, Binding)>> = Mutex::new(Vec::new());
+
+/// Run `f` on a tape and binding checked out of [`TAPES`], then reset them
+/// and put them back. A chunk's tape buffers outlive the chunk and its
+/// parallel region, so the next chunk reuses them instead of faulting
+/// freshly allocated pages in. Results cannot change: a reset tape is
+/// empty, and its pooled buffers are zero-filled on reuse.
+pub(crate) fn with_tape<R>(f: impl FnOnce(&mut Graph, &mut Binding) -> R) -> R {
+    let checkout = TAPES.lock().unwrap_or_else(PoisonError::into_inner).pop();
+    let (mut g, mut binding) = checkout.unwrap_or_else(|| (Graph::new(), Binding::new()));
+    let out = f(&mut g, &mut binding);
+    g.reset();
+    binding.reset();
+    TAPES
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+        .push((g, binding));
+    out
+}
+
+/// Sample `seeds`, assemble their batch and run the GNN forward pass on the
+/// tape `g`: the head's output, one row per seed.
+fn forward(
     g: &mut Graph,
     binding: &mut Binding,
     ps: &ParamSet,
     gnn: &HeteroGnn,
     sampler: &TemporalSampler,
     seeds: &[Seed],
-    then: impl FnOnce(&mut Graph, Var) -> R,
-) -> R {
+) -> Var {
     let sub = sampler.sample(seeds);
-    let batch = build_batch(sampler.graph(), &sub);
-    let out = gnn.forward(g, binding, ps, &batch);
-    then(g, out)
+    let batch = build_batch(sampler.graph(), &sub, g);
+    gnn.forward(g, binding, ps, &batch)
 }
 
 /// Predict for `seeds`: forward passes over [`PREDICT_CHUNK`]-seed chunks
@@ -353,9 +373,10 @@ fn forward_chunked<T: Send>(
     let per_chunk: Vec<Vec<T>> = chunks
         .par_iter()
         .map(|chunk| {
-            let mut g = Graph::new();
-            let mut binding = Binding::new();
-            forward(&mut g, &mut binding, ps, gnn, sampler, chunk, &read)
+            with_tape(|g, binding| {
+                let out = forward(g, binding, ps, gnn, sampler, chunk);
+                read(g, out)
+            })
         })
         .collect();
     if let Some(t0) = t0 {
@@ -420,26 +441,28 @@ fn fit<L: Copy + Sync>(
         let mut epoch_loss = 0.0;
         let mut batches: f64 = 0.0;
         let mut grad_norm_sum = 0.0;
-        // One graph + binding reused across minibatches: reset() recycles
-        // every tape buffer into the arena instead of reallocating.
-        let mut g = Graph::new();
-        let mut binding = Binding::new();
-        for chunk in order.chunks(cfg.batch_size) {
-            let examples: Vec<(Seed, L)> = chunk.iter().map(|&i| train[i]).collect();
-            g.reset();
-            binding.reset();
-            let l = loss(&mut g, &mut binding, ps, &examples);
-            let lv = g.value(l).item();
-            if !lv.is_finite() {
-                return Err(GnnError::NumericFailure { epoch });
+        // One tape for every minibatch: reset() recycles its buffers
+        // instead of reallocating them. It goes back to the pool before
+        // validation checks tapes out.
+        with_tape(|g, binding| -> GnnResult<()> {
+            for chunk in order.chunks(cfg.batch_size) {
+                let examples: Vec<(Seed, L)> = chunk.iter().map(|&i| train[i]).collect();
+                g.reset();
+                binding.reset();
+                let l = loss(g, binding, ps, &examples);
+                let lv = g.value(l).item();
+                if !lv.is_finite() {
+                    return Err(GnnError::NumericFailure { epoch });
+                }
+                g.backward(l)?;
+                binding.accumulate_grads(g, ps);
+                grad_norm_sum += clip_global_norm(ps, cfg.clip_norm);
+                opt.step(ps);
+                epoch_loss += lv;
+                batches += 1.0;
             }
-            g.backward(l)?;
-            binding.accumulate_grads(&g, ps);
-            grad_norm_sum += clip_global_norm(ps, cfg.clip_norm);
-            opt.step(ps);
-            epoch_loss += lv;
-            batches += 1.0;
-        }
+            Ok(())
+        })?;
         let train_loss = epoch_loss / batches.max(1.0);
         report.train_losses.push(train_loss);
 
@@ -453,10 +476,10 @@ fn fit<L: Copy + Sync>(
             let stats: Vec<(f64, f64)> = chunks
                 .par_iter()
                 .map(|chunk| {
-                    let mut g = Graph::new();
-                    let mut binding = Binding::new();
-                    let l = loss(&mut g, &mut binding, ps, chunk);
-                    (g.value(l).item() * chunk.len() as f64, chunk.len() as f64)
+                    with_tape(|g, binding| {
+                        let l = loss(g, binding, ps, chunk);
+                        (g.value(l).item() * chunk.len() as f64, chunk.len() as f64)
+                    })
                 })
                 .collect();
             let (total, n) = stats
@@ -540,14 +563,13 @@ pub fn train_multiclass_model(
     let (mut ps, gnn) = init_gnn(graph, cfg, train[0].0.node_type.0, k);
     let report = fit(&mut ps, train, val, cfg, |g, binding, ps, examples| {
         let seeds = seeds_of(examples);
-        forward(g, binding, ps, &gnn, &sampler, &seeds, |g, logits| {
-            let mut one_hot = Tensor::zeros(examples.len(), k);
-            for (r, &(_, c)) in examples.iter().enumerate() {
-                one_hot.set(r, c, 1.0);
-            }
-            let target = g.constant(one_hot);
-            loss::softmax_cross_entropy(g, logits, target)
-        })
+        let logits = forward(g, binding, ps, &gnn, &sampler, &seeds);
+        let mut one_hot = Tensor::zeros(examples.len(), k);
+        for (r, &(_, c)) in examples.iter().enumerate() {
+            one_hot.set(r, c, 1.0);
+        }
+        let target = g.constant(one_hot);
+        loss::softmax_cross_entropy(g, logits, target)
     })?;
     Ok(MulticlassModel {
         ps,
@@ -604,20 +626,19 @@ pub fn train_node_model(
     let (mut ps, gnn) = init_gnn(graph, cfg, train[0].0.node_type.0, 1);
     let report = fit(&mut ps, train, val, cfg, |g, binding, ps, examples| {
         let seeds = seeds_of(examples);
-        forward(g, binding, ps, &gnn, &sampler, &seeds, |g, pred| {
-            let labels: Vec<f64> = examples
-                .iter()
-                .map(|&(_, y)| match task {
-                    TaskKind::Binary => y,
-                    TaskKind::Regression => (y - label_mean) / label_std,
-                })
-                .collect();
-            let target = g.constant(Tensor::from_vec(labels.len(), 1, labels));
-            match task {
-                TaskKind::Binary => loss::bce_with_logits(g, pred, target),
-                TaskKind::Regression => loss::huber(g, pred, target, 1.0),
-            }
-        })
+        let pred = forward(g, binding, ps, &gnn, &sampler, &seeds);
+        let labels: Vec<f64> = examples
+            .iter()
+            .map(|&(_, y)| match task {
+                TaskKind::Binary => y,
+                TaskKind::Regression => (y - label_mean) / label_std,
+            })
+            .collect();
+        let target = g.constant(Tensor::from_vec(labels.len(), 1, labels));
+        match task {
+            TaskKind::Binary => loss::bce_with_logits(g, pred, target),
+            TaskKind::Regression => loss::huber(g, pred, target, 1.0),
+        }
     })?;
     Ok(NodeModel {
         ps,
@@ -918,6 +939,41 @@ mod tests {
         let m = train_multiclass_model(&g, classes, train, val, &c).unwrap();
         let proba = m.predict_proba(&g, &probe).concat();
         assert_pinned("multiclass", &m.report, &proba, MULTICLASS);
+    }
+
+    /// Every model in the process checks tapes out of one pool. Two models
+    /// of different widths, predicting from two threads in turn, must each
+    /// keep predicting the bits of their first call.
+    #[test]
+    fn shared_tapes_keep_each_models_predictions() {
+        let (g, examples) = neighbor_label_graph(600, 13);
+        let seeds: Vec<Seed> = examples.iter().map(|&(s, _)| s).collect();
+        let bits = |m: &NodeModel| -> Vec<u64> {
+            m.predict(&g, &seeds).iter().map(|p| p.to_bits()).collect()
+        };
+        let models: Vec<NodeModel> = [8, 24]
+            .into_iter()
+            .map(|hidden_dim| {
+                let c = TrainConfig {
+                    epochs: 3,
+                    hidden_dim,
+                    ..cfg()
+                };
+                train_node_model(&g, TaskKind::Binary, &examples[..90], &[], &c).unwrap()
+            })
+            .collect();
+        let first: Vec<Vec<u64>> = models.iter().map(bits).collect();
+        std::thread::scope(|s| {
+            for t in 0..2 {
+                let (models, first, bits) = (&models, &first, &bits);
+                s.spawn(move || {
+                    for i in 0..6 {
+                        let m = (t + i) % 2;
+                        assert_eq!(bits(&models[m]), first[m], "model {m}, call {i}");
+                    }
+                });
+            }
+        });
     }
 
     #[test]

@@ -116,7 +116,8 @@ struct Node {
 #[derive(Default)]
 pub struct Graph {
     nodes: Vec<Node>,
-    /// Recycled backing buffers from previous tapes (see [`Graph::reset`]).
+    /// Recycled backing buffers from previous tapes (see [`Graph::reset`]),
+    /// sorted by capacity.
     pool: Vec<Vec<f64>>,
 }
 
@@ -150,9 +151,10 @@ impl Graph {
         }
     }
 
-    /// A zeroed `rows×cols` tensor, reusing a pooled buffer when one is
-    /// available.
-    fn alloc(&mut self, rows: usize, cols: usize) -> Tensor {
+    /// A zeroed `rows×cols` tensor from the tape's buffer pool, for the
+    /// caller to fill and insert with [`Graph::constant`] or
+    /// [`Graph::leaf`]; [`Graph::reset`] then recycles its buffer.
+    pub fn alloc(&mut self, rows: usize, cols: usize) -> Tensor {
         alloc_from(&mut self.pool, rows, cols)
     }
 
@@ -945,23 +947,31 @@ impl Graph {
     }
 }
 
-/// Take a zeroed `rows×cols` tensor from `pool`, or allocate fresh when the
-/// pool is empty. Pooled buffers are cleared and zero-refilled by
-/// [`Tensor::from_buffer`], so the result is indistinguishable from
+/// Take a zeroed `rows×cols` tensor from `pool`: the smallest pooled buffer
+/// whose capacity covers it, else the largest pooled buffer (grown), else a
+/// fresh allocation. Best fit keeps a long-lived pool at the tape's working
+/// set: a last-in pick hands the largest buffer to a small tensor and grows
+/// a small one for the next large tensor, until every pooled buffer has the
+/// largest tensor's capacity. Pooled buffers are cleared and zero-refilled
+/// by [`Tensor::from_buffer`], so the result is indistinguishable from
 /// [`Tensor::zeros`].
 fn alloc_from(pool: &mut Vec<Vec<f64>>, rows: usize, cols: usize) -> Tensor {
-    match pool.pop() {
-        Some(buf) => Tensor::from_buffer(rows, cols, buf),
-        None => Tensor::zeros(rows, cols),
+    if pool.is_empty() {
+        return Tensor::zeros(rows, cols);
     }
+    // `pool` is sorted by capacity: the first buffer that covers is the
+    // best fit, and the last one is the largest.
+    let fit = pool.partition_point(|buf| buf.capacity() < rows * cols);
+    Tensor::from_buffer(rows, cols, pool.remove(fit.min(pool.len() - 1)))
 }
 
-/// Return a tensor's backing buffer to `pool` for reuse.
+/// Return a tensor's backing buffer to `pool`, keeping it sorted by capacity.
 fn recycle(pool: &mut Vec<Vec<f64>>, t: Tensor) {
     if pool.len() < POOL_MAX_BUFFERS {
         let buf = t.into_data();
         if buf.capacity() > 0 {
-            pool.push(buf);
+            let at = pool.partition_point(|b| b.capacity() < buf.capacity());
+            pool.insert(at, buf);
         }
     }
 }
@@ -1243,6 +1253,65 @@ mod tests {
             assert_eq!(first.1, again.1);
             assert_eq!(first.2, again.2);
         }
+    }
+
+    /// Take one pooled tensor per shape (checking it is zeroed), dirty it
+    /// and keep it on the tape, so the next `reset` recycles every buffer.
+    fn pass(g: &mut Graph, shapes: &[(usize, usize)]) {
+        for &(r, c) in shapes {
+            let mut t = g.alloc(r, c);
+            assert_eq!(t, Tensor::zeros(r, c), "pooled {r}x{c} is not zeroed");
+            t.data_mut().fill(7.0);
+            g.constant(t);
+        }
+        g.reset();
+    }
+
+    fn pooled_capacity(g: &Graph) -> usize {
+        g.pool.iter().map(Vec::capacity).sum()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn pool_holds_no_more_buffers_than_one_pass_keeps_live(
+            passes in proptest::collection::vec(
+                proptest::collection::vec((0usize..24, 0usize..24), 0..16),
+                1..12,
+            ),
+            rounds in 1usize..4,
+        ) {
+            let mut g = Graph::new();
+            let mut most_live = 0;
+            for _ in 0..rounds {
+                for shapes in &passes {
+                    pass(&mut g, shapes);
+                    most_live = most_live.max(shapes.len());
+                    proptest::prop_assert!(g.pool.len() <= most_live);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn best_fit_pool_does_not_drift_to_the_largest_buffer() {
+        // One large tensor visits every position among `k` small ones. A
+        // last-in pick grows the small buffers to the large one's capacity
+        // pass after pass; best fit keeps exactly one large buffer.
+        let (k, small, large) = (6, (2, 3), (40, 50));
+        let mut g = Graph::new();
+        for round in 0..50 {
+            let mut shapes = vec![small; k];
+            shapes.insert(round % (k + 1), large);
+            pass(&mut g, &shapes);
+        }
+        let bound = large.0 * large.1 + k * small.0 * small.1;
+        assert!(
+            pooled_capacity(&g) <= bound,
+            "pool retains {} f64s, working set is {bound}",
+            pooled_capacity(&g)
+        );
     }
 
     #[test]
