@@ -1,6 +1,6 @@
 //! Sampled subgraph → dense tensors.
 
-use relgraph_graph::sampler::{DEGREE_WINDOWS_DAYS, SECONDS_PER_DAY};
+use relgraph_graph::sampler::{degree_stride, SECONDS_PER_DAY};
 use relgraph_graph::{HeteroGraph, NodeTypeId, SampledSubgraph, ALWAYS_VISIBLE};
 use relgraph_tensor::{Graph, Var};
 
@@ -36,11 +36,7 @@ impl Batch {
 /// Per-type input dims for a graph as [`build_batch`] will produce them.
 pub fn input_dims(graph: &HeteroGraph) -> Vec<usize> {
     (0..graph.num_node_types())
-        .map(|t| {
-            graph.features(NodeTypeId(t)).dim()
-                + 2
-                + graph.num_edge_types() * DEGREE_WINDOWS_DAYS.len()
-        })
+        .map(|t| graph.features(NodeTypeId(t)).dim() + 2 + degree_stride(graph))
         .collect()
 }
 
@@ -80,12 +76,13 @@ pub(crate) fn write_input_row(
 /// Assemble the dense tensors for a sampled subgraph on the tape `g`.
 pub fn build_batch(graph: &HeteroGraph, sub: &SampledSubgraph, g: &mut Graph) -> Batch {
     let dims = input_dims(graph);
+    let stride = degree_stride(graph);
     let mut features = Vec::with_capacity(graph.num_node_types());
     for (t, &dim) in dims.iter().enumerate() {
         let locals = &sub.nodes[t];
         let mut m = g.alloc(locals.len(), dim);
         for (l, (&global, &anchor)) in locals.iter().zip(&sub.anchors[t]).enumerate() {
-            let degrees = &sub.degrees[t][l];
+            let degrees = &sub.degrees[t][l * stride..(l + 1) * stride];
             write_input_row(graph, NodeTypeId(t), global, anchor, degrees, m.row_mut(l));
         }
         features.push(g.constant(m));

@@ -204,6 +204,17 @@ pub fn train_two_tower(
     };
     let sampler_cfg = SamplerConfig::new(cfg.fanouts.clone());
     let sampler = TemporalSampler::new(graph, sampler_cfg.clone());
+    // The model is trained in place: its parameters take the steps, and
+    // the per-epoch validation ranks with it as it stands.
+    let mut model = TwoTowerModel {
+        ps,
+        user_gnn,
+        item_proj,
+        item_embed,
+        item_type,
+        item_features,
+        sampler_cfg,
+    };
     let mut opt = Adam::new(cfg.lr);
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let ones = Tensor::full(cfg.embed_dim, 1, 1.0);
@@ -212,7 +223,7 @@ pub fn train_two_tower(
     // `negatives` uniform negatives per positive; returns the scalar loss.
     let bpr_loss = |g: &mut Graph,
                     binding: &mut Binding,
-                    ps: &ParamSet,
+                    m: &TwoTowerModel,
                     pairs: &[(Seed, usize)],
                     rng: &mut StdRng|
      -> relgraph_tensor::Var {
@@ -220,10 +231,10 @@ pub fn train_two_tower(
         let pos: Vec<usize> = pairs.iter().map(|&(_, p)| p).collect();
         let sub = sampler.sample(&seeds);
         let batch = build_batch(graph, &sub, g);
-        let u = user_gnn.forward(g, binding, ps, &batch);
-        let items = g.constant_copied(&item_features);
-        let proj = item_proj.forward(g, binding, ps, items);
-        let free = binding.bind(g, ps, item_embed);
+        let u = m.user_gnn.forward(g, binding, &m.ps, &batch);
+        let items = g.constant_copied(&m.item_features);
+        let proj = m.item_proj.forward(g, binding, &m.ps, items);
+        let free = binding.bind(g, &m.ps, m.item_embed);
         let item_emb = g.add(proj, free);
         let p = g
             .gather_rows(item_emb, pos.clone())
@@ -271,7 +282,7 @@ pub fn train_two_tower(
 
     let mut order: Vec<usize> = (0..train.len()).collect();
     let mut best_val = f64::NEG_INFINITY;
-    let mut best_snapshot = ps.snapshot();
+    let mut best_snapshot = model.ps.snapshot();
     let mut since_best = 0usize;
     let _train_span = obs::span("gnn.train_two_tower");
     for epoch in 0..cfg.epochs {
@@ -283,29 +294,20 @@ pub fn train_two_tower(
                 let pairs: Vec<(Seed, usize)> = chunk.iter().map(|&i| train[i]).collect();
                 g.reset();
                 binding.reset();
-                let l = bpr_loss(g, binding, &ps, &pairs, &mut rng);
+                let l = bpr_loss(g, binding, &model, &pairs, &mut rng);
                 if !g.value(l).item().is_finite() {
                     return Err(GnnError::NumericFailure { epoch });
                 }
                 g.backward(l)?;
-                binding.accumulate_grads(g, &mut ps);
-                clip_global_norm(&mut ps, cfg.clip_norm);
-                opt.step(&mut ps);
+                binding.accumulate_grads(g, &mut model.ps);
+                clip_global_norm(&mut model.ps, cfg.clip_norm);
+                opt.step(&mut model.ps);
             }
             Ok(())
         })?;
         if !val_groups.is_empty() {
             // Validation recall@k under the current parameters: the metric
             // we actually care about, far less noisy than val BPR loss.
-            let model = TwoTowerModel {
-                ps: restore_view(&ps),
-                user_gnn: user_gnn.clone(),
-                item_proj: item_proj.clone(),
-                item_embed,
-                item_type,
-                item_features: item_features.clone(),
-                sampler_cfg: sampler_cfg.clone(),
-            };
             let seeds: Vec<Seed> = val_groups.iter().map(|&(s, _)| s).collect();
             let recs = model.recommend(graph, &seeds, cfg.eval_k, &[]);
             let mut recall = 0.0;
@@ -315,11 +317,9 @@ pub fn train_two_tower(
             }
             let val_recall = recall / val_groups.len() as f64;
             obs::series_push("gnn.val_recall", val_recall);
-            // Reclaim the parameter set from the throwaway view.
-            ps = model.ps;
             if val_recall > best_val + 1e-9 {
                 best_val = val_recall;
-                best_snapshot = ps.snapshot();
+                best_snapshot = model.ps.snapshot();
                 since_best = 0;
             } else {
                 since_best += 1;
@@ -330,28 +330,9 @@ pub fn train_two_tower(
         }
     }
     if !val_groups.is_empty() {
-        ps.restore(&best_snapshot);
+        model.ps.restore(&best_snapshot);
     }
-    Ok(TwoTowerModel {
-        ps,
-        user_gnn,
-        item_proj,
-        item_embed,
-        item_type,
-        item_features,
-        sampler_cfg,
-    })
-}
-
-/// Move-free "view" helper: [`TwoTowerModel`] owns its `ParamSet`, so the
-/// per-epoch validation pass temporarily moves the set into a model and
-/// takes it back afterwards. This constructor documents that hand-off.
-fn restore_view(ps: &ParamSet) -> ParamSet {
-    let mut out = ParamSet::new();
-    for id in ps.ids() {
-        out.register(ps.name(id).to_string(), ps.value(id).clone());
-    }
-    out
+    Ok(model)
 }
 
 #[cfg(test)]

@@ -10,7 +10,7 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rayon::prelude::*;
-use relgraph_graph::{HeteroGraph, SamplerConfig, Seed, TemporalSampler};
+use relgraph_graph::{HeteroGraph, SampledSubgraph, SamplerConfig, Seed, TemporalSampler};
 use relgraph_nn::{clip_global_norm, loss, Activation, Adam, Binding, Optimizer, ParamSet};
 use relgraph_obs as obs;
 use relgraph_tensor::{Graph, Tensor, Var};
@@ -343,24 +343,24 @@ pub(crate) fn with_tape<R>(f: impl FnOnce(&mut Graph, &mut Binding) -> R) -> R {
     out
 }
 
-/// Sample `seeds`, assemble their batch and run the GNN forward pass on the
-/// tape `g`: the head's output, one row per seed.
+/// Assemble the batch of `sub`, sampled from `graph`, and run the GNN
+/// forward pass on the tape `g`: the head's output, one row per seed.
 fn forward(
     g: &mut Graph,
     binding: &mut Binding,
     ps: &ParamSet,
     gnn: &HeteroGnn,
-    sampler: &TemporalSampler,
-    seeds: &[Seed],
+    graph: &HeteroGraph,
+    sub: &SampledSubgraph,
 ) -> Var {
-    let sub = sampler.sample(seeds);
-    let batch = build_batch(sampler.graph(), &sub, g);
+    let batch = build_batch(graph, sub, g);
     gnn.forward(g, binding, ps, &batch)
 }
 
 /// Predict for `seeds`: forward passes over [`PREDICT_CHUNK`]-seed chunks
 /// in parallel, each head output turned into per-seed values by `read`,
-/// flattened in chunk order — identical output to the serial loop.
+/// flattened in chunk order — identical output to the serial loop. Each
+/// chunk is sampled where it is used: one pass has nothing to reuse.
 fn forward_chunked<T: Send>(
     sampler: &TemporalSampler,
     ps: &ParamSet,
@@ -374,7 +374,8 @@ fn forward_chunked<T: Send>(
         .par_iter()
         .map(|chunk| {
             with_tape(|g, binding| {
-                let out = forward(g, binding, ps, gnn, sampler, chunk);
+                let sub = sampler.sample(chunk);
+                let out = forward(g, binding, ps, gnn, sampler.graph(), &sub);
                 read(g, out)
             })
         })
@@ -417,13 +418,19 @@ fn init_gnn(
 /// of `train` on one reused tape, clipped Adam steps on `ps`, a forward-only
 /// validation pass over `val` (the train loss when `val` is empty) and
 /// early stopping, after which `ps` holds the best-validation parameters.
-/// `loss` is the batch's mean loss on the tape; a task differs only there.
+/// `loss` is the batch's mean loss on the tape, given the batch's subgraph
+/// and examples; a task differs only there.
+///
+/// A seed's sampled block depends on the seed alone, so `sampler` runs once
+/// per fit: over every training seed, whose blocks each minibatch selects,
+/// and over each validation chunk, whose subgraph every epoch reuses.
 fn fit<L: Copy + Sync>(
     ps: &mut ParamSet,
+    sampler: &TemporalSampler,
     train: &[(Seed, L)],
     val: &[(Seed, L)],
     cfg: &TrainConfig,
-    loss: impl Fn(&mut Graph, &mut Binding, &ParamSet, &[(Seed, L)]) -> Var + Sync,
+    loss: impl Fn(&mut Graph, &mut Binding, &ParamSet, &SampledSubgraph, &[(Seed, L)]) -> Var + Sync,
 ) -> GnnResult<TrainReport> {
     let mut opt = Adam::new(cfg.lr);
     let mut rng = StdRng::seed_from_u64(cfg.seed);
@@ -434,7 +441,18 @@ fn fit<L: Copy + Sync>(
     let mut since_best = 0usize;
 
     let _train_span = obs::span("gnn.train");
-    let sample_ns0 = obs::counter_value("graph.sample_ns");
+    let graph = sampler.graph();
+    let (train_sub, val_batches) = {
+        let _span = obs::span("graph.sample");
+        let train_sub = sampler.sample(&seeds_of(train));
+        let val_batches: Vec<(&[(Seed, L)], SampledSubgraph)> = val
+            .chunks(cfg.batch_size)
+            .collect::<Vec<_>>()
+            .par_iter()
+            .map(|&chunk| (chunk, sampler.sample(&seeds_of(chunk))))
+            .collect();
+        (train_sub, val_batches)
+    };
     for epoch in 0..cfg.epochs {
         let epoch_t0 = obs::enabled().then(std::time::Instant::now);
         order.shuffle(&mut rng);
@@ -444,12 +462,14 @@ fn fit<L: Copy + Sync>(
         // One tape for every minibatch: reset() recycles its buffers
         // instead of reallocating them. It goes back to the pool before
         // validation checks tapes out.
+        let steps = obs::span("gnn.train.steps");
         with_tape(|g, binding| -> GnnResult<()> {
             for chunk in order.chunks(cfg.batch_size) {
                 let examples: Vec<(Seed, L)> = chunk.iter().map(|&i| train[i]).collect();
+                let sub = train_sub.select(graph, chunk);
                 g.reset();
                 binding.reset();
-                let l = loss(g, binding, ps, &examples);
+                let l = loss(g, binding, ps, &sub, &examples);
                 let lv = g.value(l).item();
                 if !lv.is_finite() {
                     return Err(GnnError::NumericFailure { epoch });
@@ -463,6 +483,7 @@ fn fit<L: Copy + Sync>(
             }
             Ok(())
         })?;
+        drop(steps);
         let train_loss = epoch_loss / batches.max(1.0);
         report.train_losses.push(train_loss);
 
@@ -471,13 +492,13 @@ fn fit<L: Copy + Sync>(
         let val_loss = if val.is_empty() {
             train_loss
         } else {
-            let chunks: Vec<&[(Seed, L)]> = val.chunks(cfg.batch_size).collect();
+            let _span = obs::span("gnn.train.validate");
             let ps: &ParamSet = ps;
-            let stats: Vec<(f64, f64)> = chunks
+            let stats: Vec<(f64, f64)> = val_batches
                 .par_iter()
-                .map(|chunk| {
+                .map(|(chunk, sub)| {
                     with_tape(|g, binding| {
-                        let l = loss(g, binding, ps, chunk);
+                        let l = loss(g, binding, ps, sub, chunk);
                         (g.value(l).item() * chunk.len() as f64, chunk.len() as f64)
                     })
                 })
@@ -518,12 +539,6 @@ fn fit<L: Copy + Sync>(
             "gnn.train.examples",
             (train.len() * report.epochs_run) as u64,
         );
-        // Sampling ran inside worker threads while `gnn.train` was open:
-        // record it as a synthetic `graph.sample` child span.
-        let sampled = obs::counter_value("graph.sample_ns").saturating_sub(sample_ns0);
-        if sampled > 0 {
-            obs::record_ns("graph.sample", sampled);
-        }
     }
     Ok(report)
 }
@@ -561,16 +576,22 @@ pub fn train_multiclass_model(
     let sampler_cfg = cfg.sampler_config();
     let sampler = TemporalSampler::new(graph, sampler_cfg.clone());
     let (mut ps, gnn) = init_gnn(graph, cfg, train[0].0.node_type.0, k);
-    let report = fit(&mut ps, train, val, cfg, |g, binding, ps, examples| {
-        let seeds = seeds_of(examples);
-        let logits = forward(g, binding, ps, &gnn, &sampler, &seeds);
-        let mut one_hot = Tensor::zeros(examples.len(), k);
-        for (r, &(_, c)) in examples.iter().enumerate() {
-            one_hot.set(r, c, 1.0);
-        }
-        let target = g.constant(one_hot);
-        loss::softmax_cross_entropy(g, logits, target)
-    })?;
+    let report = fit(
+        &mut ps,
+        &sampler,
+        train,
+        val,
+        cfg,
+        |g, binding, ps, sub, examples| {
+            let logits = forward(g, binding, ps, &gnn, graph, sub);
+            let mut one_hot = Tensor::zeros(examples.len(), k);
+            for (r, &(_, c)) in examples.iter().enumerate() {
+                one_hot.set(r, c, 1.0);
+            }
+            let target = g.constant(one_hot);
+            loss::softmax_cross_entropy(g, logits, target)
+        },
+    )?;
     Ok(MulticlassModel {
         ps,
         gnn,
@@ -624,22 +645,28 @@ pub fn train_node_model(
     let sampler_cfg = cfg.sampler_config();
     let sampler = TemporalSampler::new(graph, sampler_cfg.clone());
     let (mut ps, gnn) = init_gnn(graph, cfg, train[0].0.node_type.0, 1);
-    let report = fit(&mut ps, train, val, cfg, |g, binding, ps, examples| {
-        let seeds = seeds_of(examples);
-        let pred = forward(g, binding, ps, &gnn, &sampler, &seeds);
-        let labels: Vec<f64> = examples
-            .iter()
-            .map(|&(_, y)| match task {
-                TaskKind::Binary => y,
-                TaskKind::Regression => (y - label_mean) / label_std,
-            })
-            .collect();
-        let target = g.constant(Tensor::from_vec(labels.len(), 1, labels));
-        match task {
-            TaskKind::Binary => loss::bce_with_logits(g, pred, target),
-            TaskKind::Regression => loss::huber(g, pred, target, 1.0),
-        }
-    })?;
+    let report = fit(
+        &mut ps,
+        &sampler,
+        train,
+        val,
+        cfg,
+        |g, binding, ps, sub, examples| {
+            let pred = forward(g, binding, ps, &gnn, graph, sub);
+            let labels: Vec<f64> = examples
+                .iter()
+                .map(|&(_, y)| match task {
+                    TaskKind::Binary => y,
+                    TaskKind::Regression => (y - label_mean) / label_std,
+                })
+                .collect();
+            let target = g.constant(Tensor::from_vec(labels.len(), 1, labels));
+            match task {
+                TaskKind::Binary => loss::bce_with_logits(g, pred, target),
+                TaskKind::Regression => loss::huber(g, pred, target, 1.0),
+            }
+        },
+    )?;
     Ok(NodeModel {
         ps,
         gnn,

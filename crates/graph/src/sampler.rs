@@ -14,6 +14,12 @@
 //! one block-diagonal [`SampledSubgraph`] so that every sampled node has a
 //! well-defined anchor time (used for relative-age features downstream).
 //!
+//! A seed's block is a function of the seed alone, and the subgraph records
+//! where each block ends. So [`SampledSubgraph::select`] can cut any
+//! sequence of seeds' blocks back out of a sampled batch — bit-identical to
+//! sampling those seeds again, at the cost of a few slice copies per seed.
+//! Training samples its seeds once per fit and selects each minibatch.
+//!
 //! Because seeds are disjoint, a batch fans out across threads: each seed's
 //! subgraph is extracted independently and the results are merged in seed
 //! order. The merged output is **bit-identical** to a serial run (sampling
@@ -50,6 +56,13 @@ const SEEDS_PER_TASK: usize = 256;
 /// measured 0.76–1.34x of inline at 2 700–2 900 nodes, 0.88–1.19x at
 /// 5 300–5 900 and 1.25–1.35x from 10 700, so a type splits from 8 192.
 const DEGREE_NODES_PER_TASK: usize = 4096;
+
+/// Length of one node's row of windowed degrees: one count per (edge
+/// type, [`DEGREE_WINDOWS_DAYS`] window), laid out as
+/// `edge_type * NUM_WINDOWS + window`.
+pub fn degree_stride(graph: &HeteroGraph) -> usize {
+    graph.num_edge_types() * DEGREE_WINDOWS_DAYS.len()
+}
 
 /// One prediction seed: a node and the anchor time of the prediction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -145,11 +158,26 @@ pub fn windowed_degrees(
     node: usize,
     anchor: i64,
 ) -> Vec<u32> {
-    let nw = DEGREE_WINDOWS_DAYS.len();
-    let mut degs = vec![0u32; graph.num_edge_types() * nw];
+    let mut degs = vec![0u32; degree_stride(graph)];
+    write_windowed_degrees(graph, cfg, ty, node, anchor, &mut degs);
+    degs
+}
+
+/// [`windowed_degrees`] into `row`, which is zeroed and
+/// [`degree_stride`] long. Leaves it zero when `cfg` has no degree
+/// features.
+fn write_windowed_degrees(
+    graph: &HeteroGraph,
+    cfg: &SamplerConfig,
+    ty: NodeTypeId,
+    node: usize,
+    anchor: i64,
+    row: &mut [u32],
+) {
     if !cfg.degree_features {
-        return degs;
+        return;
     }
+    let nw = DEGREE_WINDOWS_DAYS.len();
     let hi = if cfg.temporal { anchor } else { i64::MAX };
     for &et in graph.edge_types_from(ty) {
         for (w, &days) in DEGREE_WINDOWS_DAYS.iter().enumerate() {
@@ -158,10 +186,9 @@ pub fn windowed_degrees(
             } else {
                 hi.saturating_sub(days * SECONDS_PER_DAY)
             };
-            degs[et.0 * nw + w] = graph.degree_between(et, node, lo, hi) as u32;
+            row[et.0 * nw + w] = graph.degree_between(et, node, lo, hi) as u32;
         }
     }
-    degs
 }
 
 /// A sampled block-diagonal subgraph over the same type registries as the
@@ -175,19 +202,104 @@ pub struct SampledSubgraph {
     /// Per edge type: `(src_local, dst_local)` pairs. Aggregation flows
     /// dst → src (a node gathers messages from its sampled out-neighbors).
     pub edges: Vec<Vec<(u32, u32)>>,
-    /// Per node type, per local node: the node's *temporally visible*
-    /// out-degree under every edge type and every [`DEGREE_WINDOWS_DAYS`]
-    /// window (not capped by fanout), laid out as
-    /// `edge_type * NUM_WINDOWS + window`. Mean aggregation is
+    /// Per node type: one row of [`degree_stride`] counts per local node,
+    /// flat (local node `l`'s row is `l * stride..(l + 1) * stride`) — the
+    /// node's *temporally visible* out-degree under every edge type and
+    /// every [`DEGREE_WINDOWS_DAYS`] window (not capped by fanout), laid
+    /// out as `edge_type * NUM_WINDOWS + window`. Mean aggregation is
     /// degree-invariant, so event counts must be explicit features.
-    pub degrees: Vec<Vec<Vec<u32>>>,
+    pub degrees: Vec<Vec<u32>>,
     /// Node type shared by all seeds.
     pub seed_type: NodeTypeId,
     /// Local index (within `nodes[seed_type]`) of each seed, in input order.
     pub seed_locals: Vec<usize>,
+    /// Per node type, per seed: where the seed's block of `nodes[t]` ends
+    /// (exclusive); it starts where the previous seed's ends.
+    node_ends: Vec<Vec<usize>>,
+    /// Per edge type, per seed: where the seed's block of `edges[et]` ends.
+    edge_ends: Vec<Vec<usize>>,
+}
+
+/// The range of block `p` in a list of block ends.
+fn block(ends: &[usize], p: usize) -> std::ops::Range<usize> {
+    p.checked_sub(1).map_or(0, |q| ends[q])..ends[p]
 }
 
 impl SampledSubgraph {
+    /// An empty subgraph over `graph`'s node and edge types.
+    fn empty(graph: &HeteroGraph, seed_type: NodeTypeId) -> SampledSubgraph {
+        let (nt, ne) = (graph.num_node_types(), graph.num_edge_types());
+        SampledSubgraph {
+            nodes: vec![Vec::new(); nt],
+            anchors: vec![Vec::new(); nt],
+            edges: vec![Vec::new(); ne],
+            degrees: vec![Vec::new(); nt],
+            seed_type,
+            seed_locals: Vec::new(),
+            node_ends: vec![Vec::new(); nt],
+            edge_ends: vec![Vec::new(); ne],
+        }
+    }
+
+    /// The blocks of seeds `picks` (indices into this subgraph's seeds,
+    /// in any order, repeats allowed) as one subgraph: equal, bit for bit,
+    /// to sampling those seeds again in that order with the sampler that
+    /// produced `self` over `graph`. Blocks are copied whole; local indices
+    /// are shifted to the new block starts.
+    ///
+    /// # Panics
+    /// Panics if a pick is not a seed index of `self`.
+    pub fn select(&self, graph: &HeteroGraph, picks: &[usize]) -> SampledSubgraph {
+        let stride = degree_stride(graph);
+        let nt = self.nodes.len();
+        let mut out = SampledSubgraph::empty(graph, self.seed_type);
+        // Per pick and node type: what moves a local index of the picked
+        // block from its start in `self` to its start in `out` (mod 2^32).
+        let mut shift = vec![0u32; picks.len() * nt];
+        for t in 0..nt {
+            let ends = &self.node_ends[t];
+            let len: usize = picks.iter().map(|&p| block(ends, p).len()).sum();
+            let nodes = &mut out.nodes[t];
+            nodes.reserve_exact(len);
+            out.anchors[t].reserve_exact(len);
+            out.degrees[t].reserve_exact(len * stride);
+            out.node_ends[t].reserve_exact(picks.len());
+            for (i, &p) in picks.iter().enumerate() {
+                let r = block(ends, p);
+                shift[i * nt + t] = (nodes.len() as u32).wrapping_sub(r.start as u32);
+                nodes.extend_from_slice(&self.nodes[t][r.clone()]);
+                out.anchors[t].extend_from_slice(&self.anchors[t][r.clone()]);
+                out.degrees[t]
+                    .extend_from_slice(&self.degrees[t][r.start * stride..r.end * stride]);
+                out.node_ends[t].push(nodes.len());
+            }
+        }
+        let st = self.seed_type.0;
+        out.seed_locals = picks
+            .iter()
+            .enumerate()
+            .map(|(i, &p)| (self.seed_locals[p] as u32).wrapping_add(shift[i * nt + st]) as usize)
+            .collect();
+        for (et, pairs) in self.edges.iter().enumerate() {
+            let meta = graph.edge_type(EdgeTypeId(et));
+            let ends = &self.edge_ends[et];
+            let len: usize = picks.iter().map(|&p| block(ends, p).len()).sum();
+            let edges = &mut out.edges[et];
+            edges.reserve_exact(len);
+            out.edge_ends[et].reserve_exact(picks.len());
+            for (i, &p) in picks.iter().enumerate() {
+                let (ds, dd) = (shift[i * nt + meta.src.0], shift[i * nt + meta.dst.0]);
+                edges.extend(
+                    pairs[block(ends, p)]
+                        .iter()
+                        .map(|&(a, b)| (a.wrapping_add(ds), b.wrapping_add(dd))),
+                );
+                out.edge_ends[et].push(edges.len());
+            }
+        }
+        out
+    }
+
     /// Total number of sampled nodes across all types.
     pub fn total_nodes(&self) -> usize {
         self.nodes.iter().map(Vec::len).sum()
@@ -335,55 +447,62 @@ impl<'g> TemporalSampler<'g> {
         locals: Vec<LocalSample>,
     ) -> SampledSubgraph {
         let g = self.graph;
-        let mut nodes: Vec<Vec<usize>> = vec![Vec::new(); g.num_node_types()];
-        let mut anchors: Vec<Vec<i64>> = vec![Vec::new(); g.num_node_types()];
-        let mut edges: Vec<Vec<(u32, u32)>> = vec![Vec::new(); g.num_edge_types()];
-        let mut seed_locals = Vec::with_capacity(seeds.len());
+        let mut sub = SampledSubgraph::empty(g, seed_type);
+        sub.seed_locals.reserve(seeds.len());
+        let mut base = vec![0u32; g.num_node_types()];
         for (seed, block) in seeds.iter().zip(locals) {
-            let base: Vec<u32> = nodes.iter().map(|v| v.len() as u32).collect();
+            for (b, v) in base.iter_mut().zip(&sub.nodes) {
+                *b = v.len() as u32;
+            }
             // The seed is always the first node interned in its block.
-            seed_locals.push(base[seed_type.0] as usize);
+            sub.seed_locals.push(base[seed_type.0] as usize);
             for (t, globals) in block.nodes.into_iter().enumerate() {
-                anchors[t].extend(std::iter::repeat_n(seed.time, globals.len()));
-                nodes[t].extend(globals);
+                sub.anchors[t].extend(std::iter::repeat_n(seed.time, globals.len()));
+                sub.nodes[t].extend(globals);
+                sub.node_ends[t].push(sub.nodes[t].len());
             }
             for (et, pairs) in block.edges.into_iter().enumerate() {
-                let (sb, db) = (
-                    base[g.edge_type(EdgeTypeId(et)).src.0],
-                    base[g.edge_type(EdgeTypeId(et)).dst.0],
-                );
-                edges[et].extend(pairs.into_iter().map(|(s, d)| (s + sb, d + db)));
+                let meta = g.edge_type(EdgeTypeId(et));
+                let (sb, db) = (base[meta.src.0], base[meta.dst.0]);
+                sub.edges[et].extend(pairs.into_iter().map(|(s, d)| (s + sb, d + db)));
+                sub.edge_ends[et].push(sub.edges[et].len());
             }
         }
-        let degrees = self.sampled_degrees(&nodes, &anchors);
-        SampledSubgraph {
-            nodes,
-            anchors,
-            edges,
-            degrees,
-            seed_type,
-            seed_locals,
-        }
+        sub.degrees = self.sampled_degrees(&sub.nodes, &sub.anchors);
+        sub
     }
 
-    /// [`windowed_degrees`] of every sampled node, computed in parallel
-    /// over the nodes of each type.
-    fn sampled_degrees(&self, nodes: &[Vec<usize>], anchors: &[Vec<i64>]) -> Vec<Vec<Vec<u32>>> {
+    /// The flat [`windowed_degrees`] rows of every sampled node. A type of
+    /// `n` nodes is cut into `n / DEGREE_NODES_PER_TASK` equal runs (one
+    /// run below twice that), filled in parallel.
+    fn sampled_degrees(&self, nodes: &[Vec<usize>], anchors: &[Vec<i64>]) -> Vec<Vec<u32>> {
         let g = self.graph;
+        let stride = degree_stride(g);
         (0..g.num_node_types())
             .map(|t| {
-                let pairs: Vec<(usize, i64)> = nodes[t]
-                    .iter()
-                    .zip(&anchors[t])
-                    .map(|(&global, &anchor)| (global, anchor))
-                    .collect();
-                pairs
-                    .par_iter()
-                    .with_min_len(DEGREE_NODES_PER_TASK)
-                    .map(|&(global, anchor)| {
-                        windowed_degrees(g, &self.config, NodeTypeId(t), global, anchor)
-                    })
-                    .collect()
+                let n = nodes[t].len();
+                let mut rows = vec![0u32; n * stride];
+                if n == 0 || stride == 0 || !self.config.degree_features {
+                    return rows;
+                }
+                let run = n.div_ceil((n / DEGREE_NODES_PER_TASK).max(1));
+                rows.par_chunks_mut(run * stride)
+                    .enumerate()
+                    .for_each(|(i, rows)| {
+                        let first = i * run;
+                        for (l, row) in rows.chunks_exact_mut(stride).enumerate() {
+                            let (global, anchor) = (nodes[t][first + l], anchors[t][first + l]);
+                            write_windowed_degrees(
+                                g,
+                                &self.config,
+                                NodeTypeId(t),
+                                global,
+                                anchor,
+                                row,
+                            );
+                        }
+                    });
+                rows
             })
             .collect()
     }
@@ -445,6 +564,8 @@ mod tests {
         let mut anchors: Vec<Vec<i64>> = vec![Vec::new(); g.num_node_types()];
         let mut edges: Vec<Vec<(u32, u32)>> = vec![Vec::new(); g.num_edge_types()];
         let mut seed_locals = Vec::with_capacity(seeds.len());
+        let mut node_ends: Vec<Vec<usize>> = vec![Vec::new(); g.num_node_types()];
+        let mut edge_ends: Vec<Vec<usize>> = vec![Vec::new(); g.num_edge_types()];
         let mut local: HashMap<(usize, usize), u32> = HashMap::new();
         for seed in seeds {
             local.clear();
@@ -502,12 +623,19 @@ mod tests {
                     break;
                 }
             }
+            for (ends, v) in node_ends.iter_mut().zip(&nodes) {
+                ends.push(v.len());
+            }
+            for (ends, v) in edge_ends.iter_mut().zip(&edges) {
+                ends.push(v.len());
+            }
         }
-        // Windowed degrees by linear counting over the full neighbor list.
+        // Windowed degrees by linear counting over the full neighbor list,
+        // one flat row per node.
         let nw = DEGREE_WINDOWS_DAYS.len();
-        let mut degrees: Vec<Vec<Vec<u32>>> = Vec::with_capacity(g.num_node_types());
+        let mut degrees: Vec<Vec<u32>> = Vec::with_capacity(g.num_node_types());
         for t in 0..g.num_node_types() {
-            let mut per_node = Vec::with_capacity(nodes[t].len());
+            let mut per_node = Vec::with_capacity(nodes[t].len() * g.num_edge_types() * nw);
             for (l, &global) in nodes[t].iter().enumerate() {
                 let anchor = anchors[t][l];
                 let mut degs = vec![0u32; g.num_edge_types() * nw];
@@ -533,7 +661,7 @@ mod tests {
                         }
                     }
                 }
-                per_node.push(degs);
+                per_node.extend(degs);
             }
             degrees.push(per_node);
         }
@@ -544,6 +672,8 @@ mod tests {
             degrees,
             seed_type,
             seed_locals,
+            node_ends,
+            edge_ends,
         }
     }
 

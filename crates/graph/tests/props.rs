@@ -141,14 +141,57 @@ proptest! {
         // DEGREE_WINDOWS_DAYS = [7, 30, 90, all]: counts must be
         // non-decreasing across widening windows, per edge type.
         let nw = relgraph_graph::sampler::DEGREE_WINDOWS_DAYS.len();
-        for per_node in &sub.degrees {
-            for degs in per_node {
+        let stride = relgraph_graph::sampler::degree_stride(&g);
+        for rows in &sub.degrees {
+            for degs in rows.chunks_exact(stride) {
                 for et in 0..degs.len() / nw {
                     for w in 1..nw {
                         prop_assert!(degs[et * nw + w] >= degs[et * nw + w - 1]);
                     }
                 }
             }
+        }
+    }
+
+    /// Cutting seeds' blocks out of a sampled batch equals sampling those
+    /// seeds again: random picks and the same picks twice over (repeats),
+    /// every seed reversed and in order, none, and each seed alone — at 0–3
+    /// hops, temporal, leaky and without degree features.
+    #[test]
+    fn select_equals_resampling(
+        (n_a, n_b, edges) in edges_strategy(),
+        hops in 0usize..4,
+        fanout in 1usize..6,
+        variant in 0usize..3,
+        seeds in proptest::collection::vec((0usize..8, 0i64..1200), 1..10),
+        random in proptest::collection::vec(0usize..64, 0..12),
+    ) {
+        let g = random_graph(n_a, n_b, &edges);
+        let config = SamplerConfig::new(vec![fanout; hops]);
+        let config = match variant {
+            0 => config,
+            1 => config.leaky(),
+            _ => config.without_degree_features(),
+        };
+        let sampler = TemporalSampler::new(&g, config);
+        let seeds: Vec<Seed> = seeds
+            .iter()
+            .map(|&(node, time)| Seed { node_type: NodeTypeId(0), node: node % n_a, time })
+            .collect();
+        let batch = sampler.sample(&seeds);
+        let n = seeds.len();
+        let random: Vec<usize> = random.iter().map(|&i| i % n).collect();
+        let mut cases = vec![
+            random.iter().chain(&random).copied().collect(),
+            random,
+            (0..n).rev().collect(),
+            (0..n).collect(),
+            Vec::new(),
+        ];
+        cases.extend((0..n).map(|i| vec![i]));
+        for picks in cases {
+            let picked: Vec<Seed> = picks.iter().map(|&i| seeds[i]).collect();
+            prop_assert_eq!(batch.select(&g, &picks), sampler.sample(&picked), "picks {:?}", picks);
         }
     }
 }

@@ -122,9 +122,9 @@ pub fn span(name: &'static str) -> SpanGuard {
 }
 
 /// Record an already-measured duration as a completed span named `name`
-/// under the current innermost span — used for stages whose time is
-/// accumulated across many small calls (e.g. neighbor sampling inside the
-/// training loop). No-op when disabled or when `ns == 0`.
+/// under the current innermost span — used for stages timed around work
+/// that runs in parallel regions, where no span may open (e.g. scoring in
+/// parallel chunks). No-op when disabled or when `ns == 0`.
 pub fn record_ns(name: &str, ns: u64) {
     if !enabled() || ns == 0 {
         return;
